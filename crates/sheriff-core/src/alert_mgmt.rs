@@ -8,7 +8,7 @@
 //! Finally VMMIGRATION places the victims and FLOWREROUTE moves the
 //! conflicted flows.
 
-use crate::priority::{priority, Budget};
+use crate::priority::select_victims;
 use crate::reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
 use crate::vmmigration::{vmmigration_scoped_obs, MigrationContext, MigrationPlan};
 use dcn_sim::flows::FlowNetwork;
@@ -76,9 +76,6 @@ pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
     sink: &mut S,
 ) -> ShimOutcome {
     let mut outcome = ShimOutcome::default();
-    let mut candidate_pool = 0usize;
-    let mut migration_set: Vec<VmId> = Vec::new();
-    let mut tor_alert = false;
 
     for alert in alerts.iter().filter(|a| a.rack == rack) {
         match alert.source {
@@ -170,41 +167,21 @@ pub fn pre_alert_management_obs<S: EventSink + ?Sized>(
                 outcome.reroutes.stuck += r.stuck;
                 outcome.reroutes.skipped_delay_sensitive += r.skipped_delay_sensitive;
             }
-            AlertSource::LocalTor(_) => {
-                tor_alert = true;
-            }
-            AlertSource::Host(h) => {
-                let f: Vec<VmId> = ctx.placement.vms_on(h).to_vec();
-                candidate_pool += f.len();
-                migration_set.extend(priority(
-                    &f,
-                    ctx.placement,
-                    alert_of,
-                    Budget::SingleMaxAlert,
-                ));
-            }
+            // migration victims are selected below, in one pass
+            AlertSource::LocalTor(_) | AlertSource::Host(_) => {}
         }
     }
 
-    if tor_alert {
-        // every VM in the rack is a candidate; release a β-portion of the
-        // ToR capacity
-        let mut f: Vec<VmId> = Vec::new();
-        for &host in ctx.inventory.hosts_in(rack) {
-            f.extend_from_slice(ctx.placement.vms_on(host));
-        }
-        let tor_capacity = ctx.inventory.rack(rack).tor_capacity;
-        candidate_pool += f.len();
-        migration_set.extend(priority(
-            &f,
-            ctx.placement,
-            alert_of,
-            Budget::Capacity(ctx.sim.beta * tor_capacity),
-        ));
-    }
-
-    migration_set.sort_unstable();
-    migration_set.dedup();
+    // host alerts (w = 1) and local-ToR alerts (w = β) pick migration
+    // victims; rerouting moves no VM, so the placement is unchanged
+    let (migration_set, candidate_pool) = select_victims(
+        ctx.placement,
+        ctx.inventory,
+        ctx.sim,
+        rack,
+        alerts,
+        alert_of,
+    );
     outcome.migration_candidates = migration_set.len();
     if !migration_set.is_empty() {
         emit(sink, || Event::VictimsSelected {

@@ -9,22 +9,22 @@
 //! only the placement snapshot/commit; the protocol layer decides.
 //!
 //! The planning core it is built on (PRIORITY victim selection + min-cost
-//! matching on a snapshot, Algs. 1–3) is shared with the message-passing
-//! fabric runtime in [`fabric`](crate::fabric), which re-expresses the
-//! same negotiation as explicit REQUEST/ACK/REJECT messages over a
-//! seeded, faulty channel. With a reliable channel and no crashed shims
+//! matching on a snapshot, Algs. 1–3: `priority::select_victims` and
+//! `vmmigration::plan_proposals`) is shared with every runtime, including
+//! the message-passing fabric runtime in [`fabric`](crate::fabric), which
+//! re-expresses the same negotiation as explicit REQUEST/ACK/REJECT
+//! messages over a seeded, faulty channel. With a reliable channel and no crashed shims
 //! the fabric reproduces this runtime move for move: both issue the
 //! identical sequence of Alg. 4 requests in the identical order, so the
 //! ACK/REJECT outcomes — and therefore the plans — match.
 
 use crate::audit::{audit_moves, audit_placement, AuditReport};
-use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
-use crate::priority::{priority, Budget};
+use crate::priority::{alert_lookup, select_victims};
 use crate::protocol::{RejectReason, ReqId, ShimEndpoint, Verdict};
-use crate::vmmigration::{MigrationPlan, Move};
+use crate::vmmigration::{plan_proposals, region_slots, unassigned, MigrationPlan, Move, Proposal};
 use dcn_sim::engine::Cluster;
-use dcn_sim::{Alert, AlertSource, RackMetric, SimConfig};
-use dcn_topology::{DependencyGraph, HostId, Inventory, Placement, RackId, VmId};
+use dcn_sim::{Alert, RackMetric};
+use dcn_topology::{HostId, RackId, VmId};
 use parking_lot::Mutex;
 use sheriff_obs::{emit, Event, EventSink, RejectKind};
 use std::collections::BTreeSet;
@@ -114,146 +114,13 @@ pub struct DistributedReport {
     pub audit: AuditReport,
 }
 
-/// One planned assignment awaiting the destination's verdict.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Proposal {
-    pub(crate) vm: VmId,
-    pub(crate) dest: HostId,
-    pub(crate) cost: f64,
-}
-
-/// Alg. 1/2: pick migration victims for one rack's alerts on a snapshot.
-/// Returns the selected set plus the size of the candidate pool PRIORITY
-/// examined (for the `victims_selected` observability event).
-pub(crate) fn select_victims(
-    snapshot: &Placement,
-    inventory: &Inventory,
-    sim: &SimConfig,
-    rack: RackId,
-    alerts: &[Alert],
-    alert_values: &[f64],
-) -> (Vec<VmId>, usize) {
-    let mut set: Vec<VmId> = Vec::new();
-    let mut candidates = 0usize;
-    let mut tor_alert = false;
-    for alert in alerts.iter().filter(|a| a.rack == rack) {
-        match alert.source {
-            AlertSource::Host(h) => {
-                let f: Vec<VmId> = snapshot.vms_on(h).to_vec();
-                candidates += f.len();
-                set.extend(priority(
-                    &f,
-                    snapshot,
-                    |vm| alert_values[vm.index()],
-                    Budget::SingleMaxAlert,
-                ));
-            }
-            AlertSource::LocalTor(_) => tor_alert = true,
-            AlertSource::OuterSwitch(_) => {} // reroute path not simulated here
-        }
-    }
-    if tor_alert {
-        let mut f: Vec<VmId> = Vec::new();
-        for &host in inventory.hosts_in(rack) {
-            f.extend_from_slice(snapshot.vms_on(host));
-        }
-        candidates += f.len();
-        let budget = sim.beta * inventory.rack(rack).tor_capacity;
-        set.extend(priority(
-            &f,
-            snapshot,
-            |vm| alert_values[vm.index()],
-            Budget::Capacity(budget),
-        ));
-    }
-    set.sort_unstable();
-    set.dedup();
-    (set, candidates)
-}
-
-/// Destination slots for a shim: every host of the given racks, plus its
-/// own rack's hosts (the rack-local fallback of the degradation ladder).
-pub(crate) fn region_slots(
-    inventory: &Inventory,
-    region_racks: &[RackId],
-    rack: RackId,
-) -> Vec<HostId> {
-    let mut slots: Vec<HostId> = Vec::new();
-    for &r in region_racks.iter().chain(std::iter::once(&rack)) {
-        slots.extend_from_slice(inventory.hosts_in(r));
-    }
-    slots
-}
-
-/// Alg. 3's matching on a snapshot: returns the accepted proposals in
-/// victim order, the victims left unassigned, and the explored search
-/// space. `banned_hosts` are hosts currently absorbing an in-flight
-/// pre-copy — they take no additional arrivals this window, or the
-/// independent-cost assumption of Eqn. 1 would double-count them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_proposals(
-    snapshot: &Placement,
-    deps: &DependencyGraph,
-    metric: &RackMetric,
-    sim: &SimConfig,
-    pending: &[VmId],
-    slot_hosts: &[HostId],
-    excluded: &[(VmId, HostId)],
-    banned_hosts: &BTreeSet<HostId>,
-) -> (Vec<Proposal>, Vec<VmId>, usize) {
-    if pending.is_empty() || slot_hosts.is_empty() {
-        return (Vec::new(), pending.to_vec(), 0);
-    }
-    let search_space = pending.len() * slot_hosts.len();
-    let mut cost = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
-    let mut adjusted = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
-    for (i, &vm) in pending.iter().enumerate() {
-        let spec = snapshot.spec(vm);
-        let from_host = snapshot.host_of(vm);
-        let from_rack = snapshot.rack_of(vm);
-        for (j, &host) in slot_hosts.iter().enumerate() {
-            if host == from_host
-                || banned_hosts.contains(&host)
-                || excluded.contains(&(vm, host))
-                || snapshot.free_capacity(host) < spec.capacity
-                || deps.conflicts_on_host(vm, host, snapshot)
-            {
-                continue;
-            }
-            let to_rack = snapshot.rack_of_host(host);
-            if !metric.reachable(from_rack, to_rack) {
-                continue;
-            }
-            let chi = deps.chi(vm, to_rack, snapshot);
-            let c = metric.migration_cost(sim, spec.capacity, from_rack, to_rack, chi);
-            let post_util =
-                (snapshot.used_capacity(host) + spec.capacity) / snapshot.host_capacity(host);
-            cost[i][j] = c;
-            adjusted[i][j] = c + sim.load_balance_weight * post_util;
-        }
-    }
-    let (assignment, _) = min_cost_assignment_padded(&adjusted);
-    let mut proposals = Vec::new();
-    let mut unassigned = Vec::new();
-    for (i, assigned) in assignment.into_iter().enumerate() {
-        match assigned {
-            Some(j) => proposals.push(Proposal {
-                vm: pending[i],
-                dest: slot_hosts[j],
-                cost: cost[i][j],
-            }),
-            None => unassigned.push(pending[i]),
-        }
-    }
-    (proposals, unassigned, search_space)
-}
-
 /// Per-shim negotiation state shared by both runtimes' bookkeeping.
 pub(crate) struct ShimState {
     pub(crate) rack: RackId,
     pub(crate) pending: Vec<VmId>,
     pub(crate) slots: Vec<HostId>,
-    pub(crate) excluded: Vec<(VmId, HostId)>,
+    /// (VM, destination) pairs that rejected, never proposed again.
+    pub(crate) excluded: BTreeSet<(VmId, HostId)>,
     pub(crate) plan: MigrationPlan,
     pub(crate) retries: usize,
     pub(crate) seq: u32,
@@ -262,35 +129,10 @@ pub(crate) struct ShimState {
 
 /// Run one management round with every alerted shim planning on its own
 /// thread and committing through the destination racks' protocol
-/// endpoints in deterministic rack order.
-///
-/// `alert_values[vm]` supplies the ALERT magnitude for PRIORITY's `w = 1`
-/// branch. Mutates `cluster.placement` in place on return.
-#[cfg(feature = "legacy")]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `DistributedRuntime` via the `Runtime` trait, or `distributed_round_obs`"
-)]
-pub fn distributed_round(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    max_retry: usize,
-) -> DistributedReport {
-    distributed_round_obs(
-        cluster,
-        metric,
-        alerts,
-        alert_values,
-        max_retry,
-        &mut sheriff_obs::NullSink,
-    )
-}
-
-/// The threaded shim round with an [`EventSink`] observing the
-/// negotiation (the deprecated `distributed_round` wrapper is this with
-/// a [`NullSink`](sheriff_obs::NullSink), behind the `legacy` feature).
+/// endpoints in deterministic rack order, with an [`EventSink`]
+/// observing the negotiation. `alert_values[vm]` supplies the ALERT
+/// magnitude for PRIORITY's `w = 1` branch. Mutates `cluster.placement`
+/// in place on return.
 ///
 /// Planning still runs one thread per shim; events are emitted only from
 /// the single-threaded victim-selection and commit phases, in
@@ -325,8 +167,14 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
         racks
             .iter()
             .map(|&rack| {
-                let (pending, candidates) =
-                    select_victims(&snapshot, inventory, sim, rack, alerts, alert_values);
+                let (pending, candidates) = select_victims(
+                    &snapshot,
+                    inventory,
+                    sim,
+                    rack,
+                    alerts,
+                    alert_lookup(alert_values),
+                );
                 emit(sink, || Event::VictimsSelected {
                     rack: rack.index() as u64,
                     candidates: candidates as u64,
@@ -339,7 +187,7 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
                     active: !pending.is_empty() && !slots.is_empty(),
                     pending,
                     slots,
-                    excluded: Vec::new(),
+                    excluded: BTreeSet::new(),
                     plan: MigrationPlan::default(),
                     retries: 0,
                     seq: 0,
@@ -355,7 +203,7 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
         }
         // optimistic planning, one thread per active shim, on one snapshot
         let snapshot = shared.lock().clone();
-        let proposals: Vec<(Vec<Proposal>, Vec<VmId>, usize)> = crossbeam::thread::scope(|scope| {
+        let plans: Vec<(Vec<Option<Proposal>>, usize)> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = idxs
                 .iter()
                 .map(|&i| {
@@ -385,18 +233,18 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
         // pessimistic commit: FCFS through each destination's endpoint,
         // shims in rack order, requests in matching order
         let mut placement = shared.lock();
-        for (&i, (props, unassigned, space)) in idxs.iter().zip(proposals) {
+        for (&i, (rows, space)) in idxs.iter().zip(plans) {
             let st = &mut states[i];
             st.plan.search_space += space;
+            let mut next_pending = unassigned(&st.pending, &rows);
             emit(sink, || Event::PlanComputed {
                 rack: st.rack.index() as u64,
-                proposals: props.len() as u64,
-                unassigned: unassigned.len() as u64,
+                proposals: (rows.len() - next_pending.len()) as u64,
+                unassigned: next_pending.len() as u64,
                 search_space: space as u64,
             });
-            let mut next_pending = unassigned;
             let mut progressed = false;
-            for p in props {
+            for p in rows.into_iter().flatten() {
                 let from = placement.host_of(p.vm);
                 let dest_rack = placement.rack_of_host(p.dest);
                 let req_id = ReqId::new(st.rack, st.seq);
@@ -444,7 +292,7 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
                         sink.counter("migrations.rejected", 1);
                         st.plan.rejected += 1;
                         st.retries += 1;
-                        st.excluded.push((p.vm, p.dest));
+                        st.excluded.insert((p.vm, p.dest));
                         next_pending.push(p.vm);
                     }
                 }

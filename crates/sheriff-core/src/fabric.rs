@@ -30,11 +30,10 @@ use crate::audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 use crate::channel::{CrashWindow, LinkFaultWindow, PartitionWindow, SimNet};
-use crate::distributed::{
-    plan_proposals, region_slots, reject_kind, select_victims, DistributedReport, ShimState,
-};
+use crate::distributed::{reject_kind, DistributedReport, ShimState};
 use crate::failure::{RegionFailover, ShimHealth};
 use crate::journal::TxnState;
+use crate::priority::{alert_lookup, select_victims};
 use crate::protocol::{
     BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
 };
@@ -45,7 +44,7 @@ use sheriff_obs::{emit, Event, EventSink};
 use sheriff_sim::{EventId, Simulation, VirtualTime};
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::vmmigration::Move;
+use crate::vmmigration::{plan_proposals, region_slots, unassigned, Move};
 
 /// Configuration of the message-passing fabric runtime.
 #[derive(Debug, Clone)]
@@ -394,34 +393,12 @@ fn schedule_wake(
 /// [`ChannelFaults::reliable`] and no crashes it produces the same plan
 /// as [`distributed_round_obs`](crate::distributed_round_obs) with
 /// `max_retry = cfg.max_retry`.
-#[cfg(feature = "legacy")]
-#[deprecated(
-    since = "0.1.0",
-    note = "use `FabricRuntime` via the `Runtime` trait, or `fabric_round_obs`"
-)]
-pub fn fabric_round(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    cfg: &FabricConfig,
-) -> DistributedReport {
-    fabric_round_obs(
-        cluster,
-        metric,
-        alerts,
-        alert_values,
-        cfg,
-        &mut sheriff_obs::NullSink,
-    )
-}
-
-/// The fabric round with an [`EventSink`] observing the message exchange:
-/// every REQUEST/ACK/REJECT, timeout, retransmission, absorbed duplicate,
+///
+/// An [`EventSink`] observes the message exchange: every
+/// REQUEST/ACK/REJECT, timeout, retransmission, absorbed duplicate,
 /// degradation step, and crashed shim becomes a structured event, and the
 /// channel's [`NetStats`](crate::channel::NetStats) land in counters
-/// (`net.sent`, `net.dropped`, ...). The runtime is single-threaded in
-/// virtual time, so the event stream is deterministic for a fixed seed.
+/// (`net.sent`, `net.dropped`, ...).
 pub fn fabric_round_obs<S: EventSink + ?Sized>(
     cluster: &mut Cluster,
     metric: &RackMetric,
@@ -578,7 +555,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                 &sim,
                 rack,
                 alerts,
-                alert_values,
+                alert_lookup(alert_values),
             );
             // a takeover successor also serves the alerts of the racks
             // it adopted, with victims selected the same way
@@ -589,7 +566,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                     &sim,
                     ar,
                     alerts,
-                    alert_values,
+                    alert_lookup(alert_values),
                 );
                 pending.extend(more);
                 candidates += more_cand;
@@ -606,7 +583,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                     active: !pending.is_empty(),
                     pending,
                     slots: Vec::new(),
-                    excluded: Vec::new(),
+                    excluded: BTreeSet::new(),
                     plan: Default::default(),
                     retries: 0,
                     seq: 0,
@@ -975,7 +952,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                 &sim,
                 r,
                 alerts,
-                alert_values,
+                alert_lookup(alert_values),
             );
             let Some(shim) = shims.get_mut(i) else {
                 continue;
@@ -1514,7 +1491,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                                 // was stale; replan without excluding it
                                 shim.gave_up = true;
                             } else {
-                                shim.st.excluded.push((o.vm, o.dest));
+                                shim.st.excluded.insert((o.vm, o.dest));
                             }
                             shim.st.pending.push(o.vm);
                         } else if let Some(o) = shim.zombies.remove(&req_id) {
@@ -1829,7 +1806,7 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                         });
                     }
                     shim.degraded = true;
-                    shim.st.excluded.push((o.vm, o.dest));
+                    shim.st.excluded.insert((o.vm, o.dest));
                     o.deadline = t + patience;
                     shim.zombies.insert(req_id, o);
                 }
@@ -2198,7 +2175,7 @@ fn fabric_plan_and_send<S: EventSink + ?Sized>(
     shim.st.slots = region_slots(&cluster.dcn.inventory, &reachable, shim.st.rack);
 
     let pending = std::mem::take(&mut shim.st.pending);
-    let (proposals, unassigned, space) = plan_proposals(
+    let (rows, space) = plan_proposals(
         &cluster.placement,
         &cluster.deps,
         metric,
@@ -2209,15 +2186,15 @@ fn fabric_plan_and_send<S: EventSink + ?Sized>(
         hot_hosts,
     );
     shim.st.plan.search_space += space;
-    shim.st.pending = unassigned;
+    shim.st.pending = unassigned(&pending, &rows);
     emit(sink, || Event::PlanComputed {
         rack: shim.st.rack.index() as u64,
-        proposals: proposals.len() as u64,
+        proposals: (rows.len() - shim.st.pending.len()) as u64,
         unassigned: shim.st.pending.len() as u64,
         search_space: space as u64,
     });
 
-    for p in proposals {
+    for p in rows.into_iter().flatten() {
         let req_id = ReqId::new(shim.st.rack, shim.st.seq);
         shim.st.seq += 1;
         emit(sink, || Event::RequestSent {

@@ -50,22 +50,13 @@ pub use audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 pub use builder::SystemBuilder;
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use centralized::centralized_migration;
 pub use centralized::{
     centralized_migration_chunked, centralized_migration_chunked_obs, centralized_migration_obs,
     destination_tors, destination_tors_obs, kmedian_migration, kmedian_migration_obs,
 };
 pub use channel::{CrashWindow, LinkFaultWindow, NetStats, PartitionWindow, SimNet};
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use distributed::distributed_round;
 pub use distributed::{distributed_round_obs, DistributedReport};
 pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use fabric::fabric_round;
 pub use fabric::{fabric_round_failover_obs, fabric_round_obs, FabricConfig};
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
 pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnState};
@@ -86,9 +77,6 @@ pub use runtime::{
     CentralizedRuntime, DistributedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime,
     ShardedRuntime,
 };
-#[allow(deprecated)]
-#[cfg(feature = "legacy")]
-pub use sharded::sharded_round;
 pub use sharded::{sharded_round_obs, ShardedReport};
 pub use sheriff_transfer::{RouteStrategy, TransferConfig, TransferScheduler};
 pub use shim::{RoundReport, Sheriff};

@@ -7,7 +7,9 @@
 //! the minimum capacity unit. Specifically, if the priority parameter is
 //! one, we only pick one VM with the highest ALERT."
 
-use dcn_topology::{Placement, VmId};
+use dcn_sim::{Alert, AlertSource, SimConfig};
+use dcn_topology::{Inventory, Placement, RackId, VmId};
+use std::cmp::Ordering;
 
 /// How much may be selected (the `w` switch of Alg. 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -27,7 +29,9 @@ pub enum Budget {
 ///   capacity within the budget, breaking ties toward the lowest total
 ///   value (migrating cheap VMs first).
 /// * Under [`Budget::SingleMaxAlert`], the single candidate with the
-///   highest `alert_of` value is returned.
+///   highest `alert_of` value is returned. A NaN value ranks below every
+///   real one, so corrupt input cannot abort the round; ties go to the
+///   lowest id.
 pub fn priority(
     candidates: &[VmId],
     placement: &Placement,
@@ -43,20 +47,72 @@ pub fn priority(
         return Vec::new();
     }
     match budget {
-        Budget::SingleMaxAlert => {
-            let best = eligible
-                .into_iter()
-                .max_by(|&a, &b| {
-                    alert_of(a)
-                        .partial_cmp(&alert_of(b))
-                        .expect("alert values are never NaN")
-                        .then(b.cmp(&a)) // deterministic tie-break: lowest id
-                })
-                .expect("non-empty by check above");
-            vec![best]
-        }
+        Budget::SingleMaxAlert => eligible
+            .into_iter()
+            .max_by(|&a, &b| {
+                alert_order(alert_of(a), alert_of(b)).then(b.cmp(&a)) // tie-break: lowest id
+            })
+            .into_iter()
+            .collect(),
         Budget::Capacity(cap) => knapsack_lowest_value(&eligible, placement, cap),
     }
+}
+
+/// `partial_cmp` on ALERT values with NaN ranked below every real value
+/// (and equal to another NaN). Not `total_cmp`: that would also order
+/// `-0.0` below `0.0`, moving the lowest-id tie-break.
+fn alert_order(a: f64, b: f64) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
+/// ALERT lookup over a per-VM slice (`values[vm.index()]`). A VM past
+/// the end of the slice has no known ALERT and ranks like NaN: below
+/// every real value.
+pub(crate) fn alert_lookup(values: &[f64]) -> impl Fn(VmId) -> f64 + '_ {
+    move |vm| values.get(vm.index()).copied().unwrap_or(f64::NAN)
+}
+
+/// Alg. 1/2 for one rack: PRIORITY victims for the rack's alerts on
+/// `placement`. Each host alert picks its single highest-ALERT VM
+/// (`w = 1`); any local-ToR alert adds one β-budget knapsack pass over
+/// the whole rack (`w = β`). Outer-switch alerts select no migration
+/// victims (they reroute flows instead). Returns the sorted, deduplicated
+/// victims and the size of the candidate pool PRIORITY examined.
+pub(crate) fn select_victims(
+    placement: &Placement,
+    inventory: &Inventory,
+    sim: &SimConfig,
+    rack: RackId,
+    alerts: &[Alert],
+    alert_of: impl Fn(VmId) -> f64,
+) -> (Vec<VmId>, usize) {
+    let mut victims: Vec<VmId> = Vec::new();
+    let mut candidates = 0usize;
+    let mut tor_alert = false;
+    for alert in alerts.iter().filter(|a| a.rack == rack) {
+        match alert.source {
+            AlertSource::Host(h) => {
+                let f = placement.vms_on(h);
+                candidates += f.len();
+                victims.extend(priority(f, placement, &alert_of, Budget::SingleMaxAlert));
+            }
+            AlertSource::LocalTor(_) => tor_alert = true,
+            AlertSource::OuterSwitch(_) => {}
+        }
+    }
+    if tor_alert {
+        let mut f: Vec<VmId> = Vec::new();
+        for &host in inventory.hosts_in(rack) {
+            f.extend_from_slice(placement.vms_on(host));
+        }
+        candidates += f.len();
+        let budget = sim.beta * inventory.rack(rack).tor_capacity;
+        victims.extend(priority(&f, placement, &alert_of, Budget::Capacity(budget)));
+    }
+    victims.sort_unstable();
+    victims.dedup();
+    (victims, candidates)
 }
 
 /// Dynamic knapsack (Alg. 2's `d[0..C]` table): capacity in integer Mbps
@@ -154,6 +210,30 @@ mod tests {
         let alerts = [0.91, 0.99, 0.95];
         let out = priority(&ids, &p, |vm| alerts[vm.index()], Budget::SingleMaxAlert);
         assert_eq!(out, vec![ids[1]]);
+    }
+
+    #[test]
+    fn single_max_alert_ranks_nan_below_real_values() {
+        let (p, ids) = placement_with(&[(5.0, 1.0, false), (5.0, 1.0, false), (5.0, 1.0, false)]);
+        let alerts = [f64::NAN, 0.2, 0.7];
+        let out = priority(&ids, &p, |vm| alerts[vm.index()], Budget::SingleMaxAlert);
+        assert_eq!(out, vec![ids[2]], "largest real value wins over NaN");
+        let alerts = [0.7, f64::NAN, 0.2];
+        let out = priority(&ids, &p, |vm| alerts[vm.index()], Budget::SingleMaxAlert);
+        assert_eq!(out, vec![ids[0]]);
+    }
+
+    #[test]
+    fn single_max_alert_ties_and_all_nan_go_to_lowest_id() {
+        let (p, ids) = placement_with(&[(5.0, 1.0, false), (5.0, 1.0, false), (5.0, 1.0, false)]);
+        let out = priority(&ids[1..], &p, |_| f64::NAN, Budget::SingleMaxAlert);
+        assert_eq!(out, vec![ids[1]]);
+        let out = priority(&ids, &p, |_| f64::NAN, Budget::SingleMaxAlert);
+        assert_eq!(out, vec![ids[0]]);
+        // -0.0 == 0.0: a tie, not an order
+        let alerts = [-0.0, 0.0, -0.0];
+        let out = priority(&ids, &p, |vm| alerts[vm.index()], Budget::SingleMaxAlert);
+        assert_eq!(out, vec![ids[0]]);
     }
 
     #[test]

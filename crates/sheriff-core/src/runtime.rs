@@ -10,15 +10,17 @@
 //! runtime reports through the same [`RoundOutcome`] and the same
 //! [`EventSink`].
 //!
-//! The old free functions (`distributed_round` and friends) remain as
-//! deprecated wrappers behind the `legacy` cargo feature for one
-//! release.
+//! All four plan through the same kernel: victims come from
+//! `priority::select_victims` (Alg. 1/2) and destinations from
+//! `vmmigration::plan_proposals` (Alg. 3). They differ only in how the
+//! resulting proposals are negotiated and committed.
 
 use crate::audit::{audit_moves, audit_placement, AuditReport};
 use crate::centralized::centralized_migration_obs;
-use crate::distributed::{distributed_round_obs, select_victims, DistributedReport};
+use crate::distributed::{distributed_round_obs, DistributedReport};
 use crate::fabric::{fabric_round_failover_obs, FabricConfig};
 use crate::failure::RegionFailover;
+use crate::priority::{alert_lookup, select_victims};
 use crate::sharded::{sharded_round_obs, ShardedReport};
 use crate::vmmigration::{MigrationContext, MigrationPlan};
 use dcn_sim::engine::Cluster;
@@ -217,7 +219,7 @@ impl Runtime for CentralizedRuntime {
                 &ctx.cluster.sim,
                 rack,
                 ctx.alerts,
-                ctx.alert_values,
+                alert_lookup(ctx.alert_values),
             );
             emit(&mut *ctx.sink, || Event::VictimsSelected {
                 rack: rack.index() as u64,

@@ -1,11 +1,16 @@
 //! Alg. 3 — VMMIGRATION: pair candidate VMs with destination hosts by
 //! minimum-weight matching, then negotiate each move with the destination
 //! shim (Alg. 4), recalculating for rejected VMs.
+//!
+//! `plan_proposals` is the planning kernel every runtime shares: the
+//! feasibility filter, the Eqn. 1 cost matrix with its load-aware
+//! tie-break, and the matching. Runtimes differ only in the slots they
+//! offer it and in how they negotiate its proposals.
 
 use crate::matching::{min_cost_assignment_padded, FORBIDDEN};
 use crate::request::{request_migration, RequestOutcome};
 use dcn_sim::{RackMetric, SimConfig};
-use dcn_topology::{DependencyGraph, HostId, Placement, RackId, VmId};
+use dcn_topology::{DependencyGraph, HostId, Inventory, Placement, RackId, VmId};
 use serde::{Deserialize, Serialize};
 use sheriff_obs::{emit, Event, EventSink, NullSink, RejectKind};
 use std::collections::{BTreeSet, HashSet};
@@ -48,6 +53,113 @@ impl MigrationPlan {
         self.moves.extend(other.moves);
         self.unplaced.extend(other.unplaced);
     }
+}
+
+/// One planned assignment awaiting the destination's verdict.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Proposal {
+    pub(crate) vm: VmId,
+    pub(crate) dest: HostId,
+    /// The literal Eqn. 1 cost (without the load-aware tie-break).
+    pub(crate) cost: f64,
+}
+
+/// Destination slots for a shim: every host of the given racks, plus its
+/// own rack's hosts (the rack-local fallback of the degradation ladder).
+pub(crate) fn region_slots(
+    inventory: &Inventory,
+    region_racks: &[RackId],
+    rack: RackId,
+) -> Vec<HostId> {
+    let mut slots: Vec<HostId> = Vec::new();
+    for &r in region_racks.iter().chain(std::iter::once(&rack)) {
+        slots.extend_from_slice(inventory.hosts_in(r));
+    }
+    slots
+}
+
+/// Alg. 3's matching on a snapshot. Returns one entry per `pending` VM,
+/// in order — its accepted proposal, or `None` when no feasible slot was
+/// left for it — plus the explored search space (`pending × slots`).
+///
+/// A slot is feasible for a VM unless it is the VM's own host, a
+/// `banned_hosts` member, an `excluded` (VM, host) pair (a destination
+/// that already rejected this VM), short of capacity, conflicting under
+/// χ, or unreachable under `B_t`. `banned_hosts` are hosts absorbing an
+/// in-flight pre-copy: they take no additional arrivals this window, or
+/// the independent-cost assumption of Eqn. 1 would double-count them.
+///
+/// The matching minimises the Eqn. 1 cost plus a load-aware tie-break
+/// that steers it toward under-utilised hosts (the balancing objective
+/// behind constraint (10)); proposals carry the literal Eqn. 1 cost.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn plan_proposals(
+    snapshot: &Placement,
+    deps: &DependencyGraph,
+    metric: &RackMetric,
+    sim: &SimConfig,
+    pending: &[VmId],
+    slot_hosts: &[HostId],
+    excluded: &BTreeSet<(VmId, HostId)>,
+    banned_hosts: &BTreeSet<HostId>,
+) -> (Vec<Option<Proposal>>, usize) {
+    if pending.is_empty() || slot_hosts.is_empty() {
+        return (vec![None; pending.len()], 0);
+    }
+    let search_space = pending.len() * slot_hosts.len();
+    let mut cost = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
+    let mut adjusted = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
+    for ((&vm, cost_row), adjusted_row) in pending.iter().zip(&mut cost).zip(&mut adjusted) {
+        let spec = snapshot.spec(vm);
+        let from_host = snapshot.host_of(vm);
+        let from_rack = snapshot.rack_of(vm);
+        let cells = cost_row.iter_mut().zip(adjusted_row.iter_mut());
+        for (&host, (cost_cell, adjusted_cell)) in slot_hosts.iter().zip(cells) {
+            if host == from_host
+                || banned_hosts.contains(&host)
+                || excluded.contains(&(vm, host))
+                || snapshot.free_capacity(host) < spec.capacity
+                || deps.conflicts_on_host(vm, host, snapshot)
+            {
+                continue;
+            }
+            let to_rack = snapshot.rack_of_host(host);
+            if !metric.reachable(from_rack, to_rack) {
+                continue;
+            }
+            let chi = deps.chi(vm, to_rack, snapshot);
+            let c = metric.migration_cost(sim, spec.capacity, from_rack, to_rack, chi);
+            let post_util =
+                (snapshot.used_capacity(host) + spec.capacity) / snapshot.host_capacity(host);
+            *cost_cell = c;
+            *adjusted_cell = c + sim.load_balance_weight * post_util;
+        }
+    }
+    let (assignment, _) = min_cost_assignment_padded(&adjusted);
+    let rows = assignment
+        .into_iter()
+        .zip(pending)
+        .zip(&cost)
+        .map(|((assigned, &vm), cost_row)| {
+            let j = assigned?;
+            Some(Proposal {
+                vm,
+                dest: *slot_hosts.get(j)?,
+                cost: *cost_row.get(j)?,
+            })
+        })
+        .collect();
+    (rows, search_space)
+}
+
+/// The pending VMs a [`plan_proposals`] call left unassigned, in order.
+pub(crate) fn unassigned(pending: &[VmId], rows: &[Option<Proposal>]) -> Vec<VmId> {
+    pending
+        .iter()
+        .zip(rows)
+        .filter(|(_, row)| row.is_none())
+        .map(|(&vm, _)| vm)
+        .collect()
 }
 
 /// Mutable state VMMIGRATION operates on (split out so the distributed
@@ -139,12 +251,11 @@ pub fn try_vmmigration_scoped(
 /// these racks *and* the VMs' own racks, since an overloaded host may
 /// shed load onto a rack-local peer at cost `C_r` only).
 ///
-/// Each round builds the VM × slot cost matrix under Eqn. 1 (FORBIDDEN
-/// for slots lacking capacity, conflicting under χ, or unreachable under
-/// `B_t`), solves minimum-weight matching, then issues REQUESTs in
-/// matching order; rejected VMs are retried in the next round with the
-/// rejecting host excluded. Terminates when every candidate is placed,
-/// no slot remains, or `max_rounds` is hit.
+/// Each round plans with `plan_proposals` (Eqn. 1 costs over the
+/// feasible VM × slot pairs, minimum-weight matching), then issues
+/// REQUESTs in matching order; rejected VMs are retried in the next round
+/// with the rejecting host excluded. Terminates when every candidate is
+/// placed, no slot remains, or `max_rounds` is hit.
 pub fn vmmigration(
     ctx: &mut MigrationContext<'_>,
     candidates: &[VmId],
@@ -247,7 +358,7 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
     let mut req_seq = 0u64;
     let mut plan = MigrationPlan::default();
     // per-VM hosts that rejected or are otherwise excluded
-    let mut excluded: Vec<(VmId, HostId)> = Vec::new();
+    let mut excluded: BTreeSet<(VmId, HostId)> = BTreeSet::new();
 
     for _round in 0..max_rounds {
         if pending.is_empty() {
@@ -273,56 +384,28 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
             break;
         }
 
-        plan.search_space += pending.len() * slot_hosts.len();
+        let (rows, space) = plan_proposals(
+            ctx.placement,
+            ctx.deps,
+            ctx.metric,
+            ctx.sim,
+            &pending,
+            &slot_hosts,
+            &excluded,
+            &hot_hosts,
+        );
+        plan.search_space += space;
 
-        // Two matrices: `base` is the literal Eqn. 1 cost (what the plan
-        // reports), `adjusted` adds the load-aware tie-break that steers
-        // the matching toward under-utilised hosts (the balancing
-        // objective behind constraint (10)).
-        let mut base = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
-        let mut adjusted = vec![vec![FORBIDDEN; slot_hosts.len()]; pending.len()];
-        for (i, &vm) in pending.iter().enumerate() {
-            let spec = ctx.placement.spec(vm);
-            let from_host = ctx.placement.host_of(vm);
-            let from_rack = ctx.placement.rack_of(vm);
-            for (j, &host) in slot_hosts.iter().enumerate() {
-                if host == from_host
-                    || hot_hosts.contains(&host)
-                    || excluded.contains(&(vm, host))
-                    || ctx.placement.free_capacity(host) < spec.capacity
-                    || ctx.deps.conflicts_on_host(vm, host, ctx.placement)
-                {
-                    continue;
-                }
-                let to_rack = ctx.placement.rack_of_host(host);
-                if !ctx.metric.reachable(from_rack, to_rack) {
-                    continue;
-                }
-                let chi = ctx.deps.chi(vm, to_rack, ctx.placement);
-                let c = ctx
-                    .metric
-                    .migration_cost(ctx.sim, spec.capacity, from_rack, to_rack, chi);
-                let post_util = (ctx.placement.used_capacity(host) + spec.capacity)
-                    / ctx.placement.host_capacity(host);
-                base[i][j] = c;
-                adjusted[i][j] = c + ctx.sim.load_balance_weight * post_util;
-            }
-        }
-
-        let (assignment, _) = min_cost_assignment_padded(&adjusted);
-        let cost = base;
-
+        // unassigned and rejected VMs retry in their original order
         let mut next_pending = Vec::new();
         let mut any_progress = false;
-        for (i, assigned) in assignment.into_iter().enumerate() {
-            let vm = pending[i];
-            let Some(j) = assigned else {
+        for (&vm, row) in pending.iter().zip(rows) {
+            let Some(p) = row else {
                 next_pending.push(vm);
                 continue;
             };
-            let host = slot_hosts[j];
+            let (host, move_cost) = (p.dest, p.cost);
             let from = ctx.placement.host_of(vm);
-            let move_cost = cost[i][j];
             req_seq += 1;
             let req = (ctx.placement.rack_of(vm).index() as u64) << 32 | req_seq;
             emit(sink, || Event::RequestSent {
@@ -365,7 +448,7 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
                     });
                     sink.counter("migrations.rejected", 1);
                     plan.rejected += 1;
-                    excluded.push((vm, host));
+                    excluded.insert((vm, host));
                     next_pending.push(vm);
                 }
             }
