@@ -77,6 +77,58 @@ fn rerunning_a_shipped_spec_file_reproduces_the_report() {
     assert!(!first.contains("timings_ns"));
 }
 
+/// FNV-1a, the digest the crate-level fabric suites pin with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Canonical-report digests of the bundled fabric scenarios, each run
+/// for the listed number of rounds over its first two seeds. The round
+/// counts reach each file's last fault, so takeover and fencing,
+/// partition heal and reconciliation, and mid-round crash and recovery
+/// are all inside the pinned window.
+const FABRIC_SCENARIO_DIGESTS: [(&str, usize, u64); 6] = [
+    ("congested_core", 4, 0x76b8_60da_5b18_34a4),
+    ("flaky_spine", 4, 0x07ad_73fe_bd24_4468),
+    ("lossy_fabric", 15, 0x7519_8591_6a4b_9372),
+    ("mid_round_shim_crash", 11, 0x4192_32cd_2e65_c792),
+    ("region_partition", 12, 0x51a1_da12_76c7_0a11),
+    ("zombie_shim", 10, 0x396a_3bbe_26f7_7740),
+];
+
+fn fabric_scenario_digest(name: &str, rounds: usize) -> u64 {
+    let path = format!("scenarios/{name}.toml");
+    let mut spec =
+        ScenarioSpec::load(std::path::Path::new(&path)).expect("bundled scenario parses");
+    spec.rounds = rounds;
+    spec.seeds.truncate(2);
+    fnv1a(canonical(&spec, false, 0).as_bytes())
+}
+
+#[test]
+#[ignore = "capture helper: prints digests for pinning"]
+fn print_fabric_scenario_digests() {
+    for (name, rounds, _) in FABRIC_SCENARIO_DIGESTS {
+        println!(
+            "(\"{name}\", {rounds}, {:#018x}),",
+            fabric_scenario_digest(name, rounds)
+        );
+    }
+}
+
+#[test]
+fn bundled_fabric_scenarios_reproduce_pinned_digests() {
+    for (name, rounds, digest) in FABRIC_SCENARIO_DIGESTS {
+        assert_eq!(
+            fabric_scenario_digest(name, rounds),
+            digest,
+            "{name} drifted from its pinned canonical report"
+        );
+    }
+}
+
 #[test]
 fn mid_round_crash_scenario_is_deterministic_with_clean_audit() {
     // the crash-consistency scenario: shims die and recover *inside*
