@@ -77,6 +77,11 @@ impl Default for ChannelFaults {
     }
 }
 
+/// Largest accepted channel delay: small enough that every tick sum
+/// derived from it (`2 * (delay_max + 3) + 2` and the like) fits in a
+/// `u64` with room to spare.
+const MAX_CHANNEL_DELAY: u64 = u32::MAX as u64;
+
 impl ChannelFaults {
     /// A perfect channel: nothing dropped, duplicated, or reordered, and
     /// every message takes exactly one tick.
@@ -112,12 +117,14 @@ impl ChannelFaults {
     }
 
     /// Check every probability is in `[0, 1]` and the delay window is
-    /// non-empty — the invariants `SimNet` construction relies on.
+    /// non-empty with `delay_max` at most `u32::MAX` ticks — the
+    /// invariants `SimNet` construction and the fabric's derived tick
+    /// sums (hello window, reply patience) rely on.
     pub fn validate(&self) -> Result<(), SheriffError> {
         check_probability("channel.drop", self.drop)?;
         check_probability("channel.duplicate", self.duplicate)?;
         check_probability("channel.reorder", self.reorder)?;
-        if self.delay_max < self.delay_min {
+        if self.delay_max < self.delay_min || self.delay_max > MAX_CHANNEL_DELAY {
             return Err(SheriffError::InvalidDelayWindow {
                 min: self.delay_min,
                 max: self.delay_max,

@@ -37,7 +37,8 @@ pub enum SheriffError {
         /// The rejected value.
         value: f64,
     },
-    /// A delay window has `delay_max < delay_min`.
+    /// A delay window has `delay_max < delay_min`, or a `delay_max`
+    /// above `u32::MAX` ticks.
     InvalidDelayWindow {
         /// Lower bound of the window.
         min: u64,
@@ -73,8 +74,11 @@ impl fmt::Display for SheriffError {
             SheriffError::InvalidProbability { field, value } => {
                 write!(f, "probability {field} = {value} outside [0, 1]")
             }
-            SheriffError::InvalidDelayWindow { min, max } => {
+            SheriffError::InvalidDelayWindow { min, max } if max < min => {
                 write!(f, "delay window [{min}, {max}] has max < min")
+            }
+            SheriffError::InvalidDelayWindow { min, max } => {
+                write!(f, "delay window [{min}, {max}] has max > {}", u32::MAX)
             }
             SheriffError::InvalidKMedian { reason } => {
                 write!(f, "invalid k-median instance: {reason}")

@@ -105,8 +105,7 @@ impl SystemBuilder {
     }
 
     /// Global liveness-beacon interval for the fabric runtime, in virtual
-    /// ticks (the event-scheduled replacement for the old
-    /// `heartbeat_period` queue knob).
+    /// ticks (sets `FabricConfig::heartbeat_period`).
     pub fn heartbeat_every(mut self, ticks: u64) -> Self {
         self.heartbeat_every = Some(ticks);
         self
@@ -173,8 +172,7 @@ impl SystemBuilder {
     }
 
     /// A [`FabricRuntime`] matching this builder's channel faults and
-    /// event intervals: the channel-aware replacement for constructing a
-    /// `FabricConfig` by hand and writing its deprecated queue knobs.
+    /// event intervals, with the hello window sized for the channel.
     pub fn fabric_runtime(&self, seed: u64) -> FabricRuntime {
         let mut cfg = FabricConfig::for_channel(self.sim.channel.clone(), seed);
         if let Some(h) = self.heartbeat_every {

@@ -25,6 +25,26 @@
 //! intervals ([`FabricConfig::with_beacon_interval`]) and per-rack
 //! alert-check intervals ([`FabricConfig::with_alert_check`]) that fire
 //! at their own virtual times within one round.
+//!
+//! # Layout
+//!
+//! A round in flight is a private `FabricRound`: it owns the simulated
+//! network, one `ShimEndpoint` per rack (the destination side of the
+//! 2PC), one `FabricShim` per alerted rack (the source side), the set
+//! of down racks, the transfer scheduler and its audit state, the
+//! `Agenda` and the report, and it borrows the cluster, metric, config,
+//! failover state and sink. [`fabric_round_failover_obs`] only builds
+//! it (which admits the shims and seeds the agenda), loops `activate` →
+//! `settled` → `schedule_wakes` → hop, and calls `finish`. Each
+//! `FabricEvent` has an `on_*` handler (`on_crash`, `on_recover`,
+//! `on_link_fail`, `on_link_restore`, `on_heal`, `on_alert_check`,
+//! `on_beacon`), each `ShimMsg` variant has one
+//! (`on_hello`, `on_request`, `on_prepare`, `on_prepare_ok`,
+//! `on_commit`, `on_abort`, `on_ack`, `on_reject`), and each per-tick
+//! phase is a method (`detect`, `deliver`, `poll_transfers`,
+//! `audit_transfers`, `expire_leases`, `step_shims`). `activate` runs
+//! them in the fixed phase order of DESIGN.md §10, which the digest
+//! suites pin.
 
 use crate::audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
@@ -38,7 +58,7 @@ use crate::protocol::{
     BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
 };
 use dcn_sim::engine::Cluster;
-use dcn_sim::{Alert, ChannelFaults, RackMetric, SimConfig};
+use dcn_sim::{Alert, ChannelFaults, RackMetric};
 use dcn_topology::{HostId, RackId, VmId};
 use sheriff_obs::{emit, Event, EventSink};
 use sheriff_sim::{EventId, Simulation, VirtualTime};
@@ -61,18 +81,9 @@ pub struct FabricConfig {
     pub backoff: BackoffPolicy,
     /// Ticks to collect `Hello`s before the first planning round; must
     /// exceed the channel's maximum delay or live racks look dead.
-    #[deprecated(
-        since = "0.1.0",
-        note = "construct via `FabricConfig::for_channel` / `SystemBuilder` and tune with \
-                `with_hello_window`"
-    )]
     pub hello_window: u64,
-    /// Interval between liveness beacons.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `with_heartbeat_every` (or a per-rack `with_beacon_interval`) instead of \
-                writing the per-round queue knob directly"
-    )]
+    /// Global interval between liveness beacons (see
+    /// [`FabricConfig::beacon_every`] for per-rack overrides).
     pub heartbeat_period: u64,
     /// Silence (in ticks) after which a rack is presumed dead.
     pub liveness_deadline: u64,
@@ -127,7 +138,6 @@ pub struct FabricConfig {
     pub transfer: Option<sheriff_transfer::TransferConfig>,
 }
 
-#[allow(deprecated)]
 impl Default for FabricConfig {
     fn default() -> Self {
         Self {
@@ -151,20 +161,9 @@ impl Default for FabricConfig {
 }
 
 impl FabricConfig {
-    /// Adopt the cluster's configured channel fault model.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `FabricConfig::for_channel(sim.channel.clone(), seed)` or \
-                `SystemBuilder::fabric_runtime`"
-    )]
-    pub fn from_sim(sim: &SimConfig, seed: u64) -> Self {
-        Self::for_channel(sim.channel.clone(), seed)
-    }
-
     /// A fabric configuration for the given channel fault model, with
     /// the hello window widened past the channel's worst base delay so a
     /// healthy, slow channel is not mistaken for dead shims.
-    #[allow(deprecated)]
     pub fn for_channel(faults: ChannelFaults, seed: u64) -> Self {
         let hello = 2u64.max(faults.delay_max + 1);
         Self {
@@ -176,14 +175,12 @@ impl FabricConfig {
     }
 
     /// Override the pre-planning hello window.
-    #[allow(deprecated)]
     pub fn with_hello_window(mut self, ticks: u64) -> Self {
         self.hello_window = ticks;
         self
     }
 
     /// Override the global liveness-beacon interval.
-    #[allow(deprecated)]
     pub fn with_heartbeat_every(mut self, ticks: u64) -> Self {
         self.heartbeat_period = ticks;
         self
@@ -225,9 +222,15 @@ impl FabricConfig {
     }
 
     /// The global liveness-beacon interval.
-    #[allow(deprecated)]
     pub fn heartbeat_every(&self) -> u64 {
         self.heartbeat_period
+    }
+
+    /// Fresh cross-round failover state for this config: the failure
+    /// detector's thresholds derive from the heartbeat interval and the
+    /// liveness deadline.
+    pub(crate) fn failover_state(&self) -> RegionFailover {
+        RegionFailover::new(self.heartbeat_every().max(1), self.liveness_deadline)
     }
 
     /// The beacon interval of `rack`: its override if listed, else the
@@ -287,7 +290,8 @@ struct TransferMeta {
     epoch: u64,
 }
 
-/// Source-shim actor state for the fabric runtime.
+/// Source-shim actor state for the fabric runtime. The shim is crashed
+/// while its rack is in `FabricRound::down`.
 struct FabricShim {
     st: ShimState,
     liveness: Liveness,
@@ -316,11 +320,78 @@ struct FabricShim {
     /// Planned at least once while an active partition cut part of the
     /// region off (degraded local handling).
     part_degraded: bool,
-    /// Currently crashed (its schedule window is open).
-    down: bool,
     /// Earliest tick at which a recovered shim may plan again — one
     /// beacon period after recovery, so its liveness view is fresh.
     resume_at: u64,
+}
+
+impl FabricShim {
+    /// Every VM the shim manages right now: pending, awaiting a verdict,
+    /// or of unknown fate.
+    fn managed(&self) -> impl Iterator<Item = VmId> + '_ {
+        self.st
+            .pending
+            .iter()
+            .copied()
+            .chain(self.outstanding.values().map(|o| o.vm))
+            .chain(self.zombies.values().map(|o| o.vm))
+            .chain(self.unresolved.iter().map(|o| o.vm))
+    }
+
+    /// Wake the shim for one more planning round, with or without
+    /// progress since its last plan.
+    fn wake(&mut self) {
+        self.done = false;
+        self.gave_up = true;
+        self.rounds_left = self.rounds_left.max(1);
+    }
+
+    /// Mark the shim degraded, announcing it the first time.
+    fn degrade<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
+        if !self.degraded {
+            let rack = self.st.rack.index() as u64;
+            emit(sink, || Event::ShimDegraded { rack });
+        }
+        self.degraded = true;
+    }
+
+    /// Record `o` as a committed move in the shim's plan.
+    fn commit<S: EventSink + ?Sized>(&mut self, o: &Outstanding, sink: &mut S) {
+        emit(sink, || Event::MigrationCommitted {
+            vm: o.vm.index() as u64,
+            from_host: o.from.index() as u64,
+            to_host: o.dest.index() as u64,
+            cost: o.cost,
+        });
+        sink.counter("migrations.committed", 1);
+        self.st.plan.moves.push(Move {
+            vm: o.vm,
+            from: o.from,
+            to: o.dest,
+            cost: o.cost,
+        });
+        self.st.plan.total_cost += o.cost;
+    }
+
+    /// A REJECT for `vm` arrived: count it and put the VM back on the
+    /// pending list for the next plan.
+    fn requeue<S: EventSink + ?Sized>(
+        &mut self,
+        req_id: ReqId,
+        vm: VmId,
+        reason: RejectReason,
+        sink: &mut S,
+    ) {
+        emit(sink, || Event::RejectReceived {
+            req: req_id.0,
+            vm: vm.index() as u64,
+            reason: reject_kind(reason),
+        });
+        sink.counter("migrations.rejected", 1);
+        self.st.plan.rejected += 1;
+        self.st.retries += 1;
+        self.st.pending.push(vm);
+    }
 }
 
 /// Why a derived [`FabricEvent::Wake`] activation was scheduled — the
@@ -368,20 +439,74 @@ enum FabricEvent {
     Wake(WakeReason),
 }
 
+impl FabricEvent {
+    /// The event's slot in an activation's fixed phase order: crashes
+    /// and recoveries, link fails, link restores, heals, alert checks,
+    /// beacons, then payload-free wakes. Within one slot events keep
+    /// their agenda pop order.
+    fn phase(self) -> u8 {
+        match self {
+            FabricEvent::Crash(_) | FabricEvent::Recover(_) => 0,
+            FabricEvent::LinkFail(_) => 1,
+            FabricEvent::LinkRestore(_) => 2,
+            FabricEvent::Heal(_) => 3,
+            FabricEvent::AlertCheck(_) => 4,
+            FabricEvent::Beacon(_) => 5,
+            FabricEvent::Wake(_) => 6,
+        }
+    }
+}
+
 /// Actor id for derived wakes (no rack owns them).
 const WAKE_ACTOR: u64 = u64::MAX;
 
-/// Schedule a derived activation at `at`, deduplicated on time: if any
-/// never-cancelled event is already on the agenda for that tick, the
-/// tick is activated regardless and no extra wake is needed.
-fn schedule_wake(
-    agenda: &mut Simulation<FabricEvent>,
-    seen: &mut BTreeSet<u64>,
-    at: u64,
-    reason: WakeReason,
-) {
-    if seen.insert(at) {
-        agenda.schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::Wake(reason));
+/// The round's event agenda and the bookkeeping that dedupes derived
+/// wakes on time.
+struct Agenda {
+    sim: Simulation<FabricEvent>,
+    /// Every tick that already has a never-cancelled event. Timeout
+    /// wakes are the exception: they are cancellable, so they live in
+    /// `timeout_wake` instead and never enter `seen`.
+    seen: BTreeSet<u64>,
+    /// The armed timeout wake, if any: `(tick, handle)`.
+    timeout_wake: Option<(u64, EventId)>,
+}
+
+impl Agenda {
+    /// Schedule a never-cancelled event at `at`.
+    fn schedule(&mut self, at: u64, actor: u64, event: FabricEvent) {
+        self.seen.insert(at);
+        self.sim.schedule_at(VirtualTime::new(at), actor, event);
+    }
+
+    /// Schedule a derived activation at `at`, unless some
+    /// never-cancelled event already activates that tick.
+    fn wake(&mut self, at: u64, reason: WakeReason) {
+        if self.seen.insert(at) {
+            self.sim
+                .schedule_at(VirtualTime::new(at), WAKE_ACTOR, FabricEvent::Wake(reason));
+        }
+    }
+
+    /// Track the earliest request/zombie deadline `d` with the one
+    /// cancellable wake: deadlines move every resend, so a nearer
+    /// deadline cancels the armed wake (a no-op if it already fired).
+    fn wake_timeout(&mut self, d: u64) {
+        if self.timeout_wake.is_some_and(|(cur, _)| d >= cur) {
+            return;
+        }
+        if let Some((_, id)) = self.timeout_wake {
+            self.sim.cancel(id);
+        }
+        self.timeout_wake = if self.seen.contains(&d) {
+            None
+        } else {
+            let event = FabricEvent::Wake(WakeReason::Timeout);
+            Some((
+                d,
+                self.sim.schedule_at(VirtualTime::new(d), WAKE_ACTOR, event),
+            ))
+        };
     }
 }
 
@@ -410,7 +535,7 @@ pub fn fabric_round_obs<S: EventSink + ?Sized>(
     // single-shot compatibility path: fresh failover state has no
     // heartbeat history, so no takeover or fencing can fire and the
     // round reproduces the pre-failover fabric byte for byte
-    let mut failover = RegionFailover::new(cfg.heartbeat_every().max(1), cfg.liveness_deadline);
+    let mut failover = cfg.failover_state();
     fabric_round_failover_obs(
         cluster,
         metric,
@@ -438,7 +563,6 @@ pub fn fabric_round_obs<S: EventSink + ?Sized>(
 /// phases at each one. Deliveries, deadlines, leases, detector
 /// transitions, and planning gates schedule their own derived wakes, so
 /// no state-changing tick is ever skipped.
-#[allow(clippy::too_many_arguments)]
 pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
     cluster: &mut Cluster,
     metric: &RackMetric,
@@ -448,139 +572,205 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
     failover: &mut RegionFailover,
     sink: &mut S,
 ) -> DistributedReport {
-    // the per-round queue knobs survive as deprecated fields; the event
-    // engine normalizes them into plain locals at this single point
-    #[allow(deprecated)]
-    let hello_window = cfg.hello_window;
-    let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
-    racks.sort_unstable();
-    racks.dedup();
-    // a window with crash_at == 0 and no recovery is the old whole-round
-    // crash: the rack is excluded from the round entirely. Every other
-    // window is a mid-round transition handled as Crash/Recover events.
-    let whole_round: BTreeSet<RackId> = cfg
-        .crashed
-        .iter()
-        .filter(|w| w.crash_at == 0 && w.recover_at.is_none())
-        .map(|w| w.rack)
-        .collect();
-    let schedule: Vec<CrashWindow> = cfg
-        .crashed
-        .iter()
-        .copied()
-        .filter(|w| !(w.crash_at == 0 && w.recover_at.is_none()))
-        .collect();
-    let crashed_alerted_racks: Vec<RackId> = racks
-        .iter()
-        .copied()
-        .filter(|r| whole_round.contains(r))
-        .collect();
-    for &r in &crashed_alerted_racks {
-        emit(sink, || Event::ShimCrashed {
-            rack: r.index() as u64,
-        });
+    let mut round = FabricRound::new(cluster, metric, alerts, alert_values, cfg, failover, sink);
+    if round.shims.is_empty() {
+        return round.report;
     }
-    racks.retain(|r| !whole_round.contains(r));
-    let mut report = DistributedReport {
-        crashed_shims: crashed_alerted_racks.len(),
-        ..DistributedReport::default()
-    };
-    // detector baseline: every rack is expected to beacon from the
-    // round's start, so a shim that is down from tick 0 accrues silence
-    for i in 0..cluster.dcn.rack_count() {
-        failover
-            .detector
-            .track(RackId::from_index(i), failover.clock);
-    }
-    // regional takeover: an alerted rack whose shim the detector has
-    // already declared Dead hands its alerts to a deterministic
-    // successor — the lowest-index live alerted rack in its region,
-    // else the lowest-index live alerted rack anywhere. The first
-    // handover bumps the rack's epoch so the deposed shim's 2PC traffic
-    // can be fenced when it returns.
-    let mut adopted: BTreeMap<RackId, Vec<RackId>> = BTreeMap::new();
-    for &r in &crashed_alerted_racks {
-        if failover.detector.health(r) != ShimHealth::Dead {
-            continue;
+    loop {
+        round.activate();
+        if round.settled() {
+            break;
         }
-        let region = cluster.dcn.neighbor_racks(r, cluster.sim.region_hops);
-        let succ = region
+        round.schedule_wakes();
+        // hop to the next activation; past the tick cap the round is
+        // abandoned exactly as the per-tick loop abandoned it
+        match round.agenda.sim.next_time() {
+            Some(nt) if nt.get() <= cfg.max_ticks => round.t = nt.get(),
+            _ => {
+                round.t = cfg.max_ticks.saturating_add(1);
+                break;
+            }
+        }
+    }
+    round.finish()
+}
+
+/// One fabric round in flight: the simulated network, the destination
+/// endpoints, the source shims, the transfer plane and the agenda, plus
+/// borrows of the round's inputs. Each `FabricEvent` and each `ShimMsg`
+/// variant has its own handler method; `activate` runs them in the
+/// fixed phase order of DESIGN.md §10.
+struct FabricRound<'a, S: EventSink + ?Sized> {
+    cluster: &'a mut Cluster,
+    metric: &'a RackMetric,
+    alerts: &'a [Alert],
+    alert_values: &'a [f64],
+    cfg: &'a FabricConfig,
+    failover: &'a mut RegionFailover,
+    sink: &'a mut S,
+    /// Source racks: alerted and not crashed for the whole round.
+    racks: Vec<RackId>,
+    /// Mid-round crash windows (`cfg.crashed` minus whole-round ones).
+    schedule: Vec<CrashWindow>,
+    net: SimNet,
+    /// One destination endpoint per rack, indexed by rack.
+    endpoints: Vec<ShimEndpoint>,
+    /// One source shim per entry of `racks`, in rack order.
+    shims: Vec<FabricShim>,
+    source_index: BTreeMap<RackId, usize>,
+    /// Racks currently down: whole-round crashes, plus the racks whose
+    /// crash window is open.
+    down: BTreeSet<RackId>,
+    /// Longest possible request + reply round trip: base delay plus the
+    /// reorder fault's extra hold-back (up to 3 ticks) each way, with
+    /// slack.
+    patience: u64,
+    /// The transfer scheduler; `None` settles every committed migration
+    /// instantaneously, byte-identical to the pre-transfer fabric.
+    transfers: Option<sheriff_transfer::TransferScheduler>,
+    /// Per-transfer 2PC context, keyed by request id.
+    transfer_meta: BTreeMap<ReqId, TransferMeta>,
+    /// Transfer-plane invariant breaches, each flagged once per
+    /// (transfer, fact) and merged into the round's audit report.
+    transfer_audit: AuditReport,
+    flagged_on_failed: BTreeSet<(u64, usize)>,
+    flagged_no_prepare: BTreeSet<u64>,
+    /// Terminal rack-crash cancellations (no recovery scheduled), counted
+    /// into `transfer_failures` on top of the scheduler's own.
+    rack_failed_transfers: usize,
+    agenda: Agenda,
+    report: DistributedReport,
+    /// The activated virtual tick.
+    t: u64,
+}
+
+impl<'a, S: EventSink + ?Sized> FabricRound<'a, S> {
+    fn new(
+        cluster: &'a mut Cluster,
+        metric: &'a RackMetric,
+        alerts: &'a [Alert],
+        alert_values: &'a [f64],
+        cfg: &'a FabricConfig,
+        failover: &'a mut RegionFailover,
+        sink: &'a mut S,
+    ) -> Self {
+        let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
+        racks.sort_unstable();
+        racks.dedup();
+        // a window with crash_at == 0 and no recovery is the old
+        // whole-round crash: the rack is excluded from the round
+        // entirely. Every other window is a mid-round transition handled
+        // as Crash/Recover events.
+        let (whole_round, schedule): (Vec<CrashWindow>, Vec<CrashWindow>) = cfg
+            .crashed
             .iter()
             .copied()
-            .filter(|s| racks.contains(s))
-            .min()
-            .or_else(|| racks.first().copied());
-        if let Some(s) = succ {
-            let continued = failover.taken_over(r) && failover.manager_of(r) == s;
-            let epoch = failover.take_over(r, s);
-            if !continued {
-                emit(sink, || Event::RegionTakenOver {
-                    rack: r.index() as u64,
-                    by: s.index() as u64,
-                    epoch,
-                });
-                sink.counter("region.takeovers", 1);
-                report.takeovers += 1;
-            }
-            adopted.entry(s).or_default().push(r);
+            .partition(|w| w.crash_at == 0 && w.recover_at.is_none());
+        let down: BTreeSet<RackId> = whole_round.iter().map(|w| w.rack).collect();
+        let mut net = SimNet::new(cfg.faults.clone(), cfg.seed);
+        net.set_partitions(cfg.partitions.clone());
+        for &r in &down {
+            net.set_down(r);
         }
+        let endpoints = (0..cluster.dcn.rack_count())
+            .map(|r| ShimEndpoint::new(RackId::from_index(r)))
+            .collect();
+        let mut round = FabricRound {
+            racks,
+            schedule,
+            net,
+            endpoints,
+            shims: Vec::new(),
+            source_index: BTreeMap::new(),
+            down,
+            patience: 2 * (cfg.faults.delay_max + 3) + 2,
+            transfers: cfg
+                .transfer
+                .as_ref()
+                .map(|tc| sheriff_transfer::TransferScheduler::new(tc.clone())),
+            transfer_meta: BTreeMap::new(),
+            transfer_audit: AuditReport::default(),
+            flagged_on_failed: BTreeSet::new(),
+            flagged_no_prepare: BTreeSet::new(),
+            rack_failed_transfers: 0,
+            agenda: Agenda {
+                sim: Simulation::new(),
+                seen: BTreeSet::new(),
+                timeout_wake: None,
+            },
+            report: DistributedReport::default(),
+            t: 0,
+            cluster,
+            metric,
+            alerts,
+            alert_values,
+            cfg,
+            failover,
+            sink,
+        };
+        round.admit_shims();
+        round.seed_agenda();
+        round
     }
-    if racks.is_empty() {
-        return report;
-    }
-    report.shims = racks.len();
 
-    let rack_count = cluster.dcn.rack_count();
-    let sim = cluster.sim.clone();
-    let mut net = SimNet::new(cfg.faults.clone(), cfg.seed);
-    net.set_partitions(cfg.partitions.clone());
-    // racks currently down, maintained by the Crash/Recover events — the
-    // membership test the beacon handler uses
-    let mut down: BTreeSet<RackId> = whole_round.clone();
-    for &r in &whole_round {
-        net.set_down(r);
+    /// Victims on `rack` by Alg. 1, with the candidate count.
+    fn victims(&self, rack: RackId) -> (Vec<VmId>, usize) {
+        select_victims(
+            &self.cluster.placement,
+            &self.cluster.dcn.inventory,
+            &self.cluster.sim,
+            rack,
+            self.alerts,
+            alert_lookup(self.alert_values),
+        )
     }
-    let mut endpoints: Vec<ShimEndpoint> = (0..rack_count)
-        .map(|r| ShimEndpoint::new(RackId::from_index(r)))
-        .collect();
 
-    // victim selection on the initial placement (Alg. 1), as in the
-    // threaded runtime
-    let mut shims: Vec<FabricShim> = racks
-        .iter()
-        .map(|&rack| {
-            let (mut pending, mut candidates) = select_victims(
-                &cluster.placement,
-                &cluster.dcn.inventory,
-                &sim,
-                rack,
-                alerts,
-                alert_lookup(alert_values),
-            );
+    /// Drop whole-round crashed racks from the source set, hand the
+    /// alerts of the ones the detector declared Dead to successors, and
+    /// build one source shim per remaining alerted rack with its victims
+    /// selected on the initial placement (Alg. 1).
+    fn admit_shims(&mut self) {
+        let crashed: Vec<RackId> = self
+            .racks
+            .iter()
+            .copied()
+            .filter(|r| self.down.contains(r))
+            .collect();
+        for &r in &crashed {
+            emit(self.sink, || Event::ShimCrashed {
+                rack: r.index() as u64,
+            });
+        }
+        self.racks.retain(|r| !self.down.contains(r));
+        self.report.crashed_shims = crashed.len();
+        // detector baseline: every rack is expected to beacon from the
+        // round's start, so a shim that is down from tick 0 accrues silence
+        for i in 0..self.cluster.dcn.rack_count() {
+            let clock = self.failover.clock;
+            self.failover.detector.track(RackId::from_index(i), clock);
+        }
+        let adopted = self.adopt_dead(&crashed);
+        self.report.shims = self.racks.len();
+        let mut shims = Vec::with_capacity(self.racks.len());
+        for &rack in &self.racks {
+            let (mut pending, mut candidates) = self.victims(rack);
             // a takeover successor also serves the alerts of the racks
             // it adopted, with victims selected the same way
             for &ar in adopted.get(&rack).map(Vec::as_slice).unwrap_or_default() {
-                let (more, more_cand) = select_victims(
-                    &cluster.placement,
-                    &cluster.dcn.inventory,
-                    &sim,
-                    ar,
-                    alerts,
-                    alert_lookup(alert_values),
-                );
+                let (more, more_cand) = self.victims(ar);
                 pending.extend(more);
                 candidates += more_cand;
             }
-            emit(sink, || Event::VictimsSelected {
+            emit(self.sink, || Event::VictimsSelected {
                 rack: rack.index() as u64,
                 candidates: candidates as u64,
                 selected: pending.len() as u64,
             });
-            let region = cluster.dcn.neighbor_racks(rack, sim.region_hops);
-            FabricShim {
+            let active = !pending.is_empty();
+            shims.push(FabricShim {
                 st: ShimState {
                     rack,
-                    active: !pending.is_empty(),
+                    active,
                     pending,
                     slots: Vec::new(),
                     excluded: BTreeSet::new(),
@@ -588,1368 +778,1367 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
                     retries: 0,
                     seq: 0,
                 },
-                liveness: Liveness::new(cfg.liveness_deadline),
-                region,
+                liveness: Liveness::new(self.cfg.liveness_deadline),
+                region: self
+                    .cluster
+                    .dcn
+                    .neighbor_racks(rack, self.cluster.sim.region_hops),
                 outstanding: BTreeMap::new(),
                 zombies: BTreeMap::new(),
                 unresolved: Vec::new(),
-                rounds_left: cfg.max_retry + 1,
+                rounds_left: self.cfg.max_retry + 1,
                 started: false,
-                done: false,
+                // shims with nothing to do are immediately done
+                done: !active,
                 progressed: false,
                 gave_up: false,
                 degraded: false,
                 part_degraded: false,
-                down: false,
                 resume_at: 0,
-            }
-        })
-        .collect();
-    // shims with nothing to do are immediately done
-    for s in &mut shims {
-        if !s.st.active {
-            s.done = true;
-        }
-    }
-
-    let source_index: BTreeMap<RackId, usize> = shims
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.st.rack, i))
-        .collect();
-    let all_racks: Vec<RackId> = (0..rack_count).map(RackId::from_index).collect();
-    // longest possible request + reply round trip: base delay plus the
-    // reorder fault's extra hold-back (up to 3 ticks) each way, with slack
-    let patience = 2 * (cfg.faults.delay_max + 3) + 2;
-
-    // ---- transfer scheduler ---------------------------------------------
-    // With `cfg.transfer` unset this stays `None` and every path below
-    // that touches it is dead — the round is byte-identical to the
-    // instantaneous-settlement fabric. When set, a COMMIT hands the
-    // migration to the scheduler instead of ACKing immediately; the ACK
-    // (and the txn_committed bookkeeping) flows at TransferCompleted.
-    let mut transfers = cfg
-        .transfer
-        .as_ref()
-        .map(|tc| sheriff_transfer::TransferScheduler::new(tc.clone()));
-    // per-transfer 2PC context, keyed by request id: who to ACK and
-    // under which epoch to finalize the journal entry
-    let mut transfer_meta: BTreeMap<ReqId, TransferMeta> = BTreeMap::new();
-    // in-round transfer-plane audit: a transfer streaming across a
-    // failed link, or active without a Prepared journal entry, is an
-    // invariant breach — flagged once per (transfer, fact) and merged
-    // into the round's audit report
-    let mut transfer_audit = AuditReport::default();
-    let mut flagged_on_failed: BTreeSet<(u64, usize)> = BTreeSet::new();
-    let mut flagged_no_prepare: BTreeSet<u64> = BTreeSet::new();
-    // terminal rack-crash cancellations (no recovery scheduled): counted
-    // into `transfer_failures` on top of the scheduler's retry-budget
-    // exhaustions, which are tracked inside `ts`
-    let mut rack_failed_transfers: usize = 0;
-
-    // ---- agenda setup ---------------------------------------------------
-    // `seen` holds every tick that already has a never-cancelled event,
-    // so derived wakes dedupe on time. Timeout wakes are the exception:
-    // they are cancellable, so they live in `timeout_wake` instead and
-    // never enter `seen`.
-    let mut agenda: Simulation<FabricEvent> = Simulation::new();
-    let mut seen: BTreeSet<u64> = BTreeSet::new();
-    let mut timeout_wake: Option<(u64, EventId)> = None;
-    for (i, w) in schedule.iter().enumerate() {
-        seen.insert(w.crash_at);
-        agenda.schedule_at(
-            VirtualTime::new(w.crash_at),
-            w.rack.index() as u64,
-            FabricEvent::Crash(i),
-        );
-        if let Some(r) = w.recover_at {
-            seen.insert(r);
-            agenda.schedule_at(
-                VirtualTime::new(r),
-                w.rack.index() as u64,
-                FabricEvent::Recover(i),
-            );
-        }
-    }
-    for (i, p) in cfg.partitions.iter().enumerate() {
-        if let Some(h) = p.heal_at {
-            seen.insert(h);
-            agenda.schedule_at(VirtualTime::new(h), i as u64, FabricEvent::Heal(i));
-        }
-    }
-    // link faults only touch the transfer plane: with the model disabled
-    // they are not seeded at all, so the agenda (and the round) stays
-    // byte-identical to the fault-free fabric
-    if transfers.is_some() {
-        for (i, w) in cfg.link_faults.iter().enumerate() {
-            seen.insert(w.fail_at);
-            agenda.schedule_at(
-                VirtualTime::new(w.fail_at),
-                w.link as u64,
-                FabricEvent::LinkFail(i),
-            );
-            if let Some(r) = w.restore_at {
-                seen.insert(r);
-                agenda.schedule_at(
-                    VirtualTime::new(r),
-                    w.link as u64,
-                    FabricEvent::LinkRestore(i),
-                );
-            }
-        }
-    }
-    // every rack beacons from tick 0 (Hello), then self-reschedules at
-    // its own interval — the emit_self idiom, flattened: the recurrence
-    // is re-armed by the Beacon handler so a down rack keeps cadence
-    for &r in &all_racks {
-        seen.insert(0);
-        agenda.schedule_at(VirtualTime::ZERO, r.index() as u64, FabricEvent::Beacon(r));
-    }
-    for &(r, every) in &cfg.alert_checks {
-        if every > 0 {
-            seen.insert(every);
-            agenda.schedule_at(
-                VirtualTime::new(every),
-                r.index() as u64,
-                FabricEvent::AlertCheck(r),
-            );
-        }
-    }
-    schedule_wake(&mut agenda, &mut seen, hello_window, WakeReason::ShimStart);
-
-    // ---- the event loop -------------------------------------------------
-    let mut t: u64 = 0;
-    loop {
-        // drain this activation's events and bucket them by phase; pop
-        // order within a bucket is schedule order, which reproduces the
-        // historical iteration orders (schedule order for windows,
-        // partition-index order for heals, rack order for beacons)
-        let mut crash_recover: Vec<(usize, bool)> = Vec::new();
-        let mut heals: Vec<usize> = Vec::new();
-        let mut link_fails: Vec<usize> = Vec::new();
-        let mut link_restores: Vec<usize> = Vec::new();
-        let mut checks: Vec<RackId> = Vec::new();
-        let mut beacons: Vec<RackId> = Vec::new();
-        for ev in agenda.take_due(VirtualTime::new(t)) {
-            match ev.event {
-                FabricEvent::Crash(i) => crash_recover.push((i, false)),
-                FabricEvent::Recover(i) => crash_recover.push((i, true)),
-                FabricEvent::Heal(i) => heals.push(i),
-                FabricEvent::LinkFail(i) => link_fails.push(i),
-                FabricEvent::LinkRestore(i) => link_restores.push(i),
-                FabricEvent::AlertCheck(r) => checks.push(r),
-                FabricEvent::Beacon(r) => beacons.push(r),
-                FabricEvent::Wake(WakeReason::Timeout) => timeout_wake = None,
-                FabricEvent::Wake(_) => {}
-            }
-        }
-
-        // phase 1 — crash/recover transitions scheduled for this tick. A
-        // crashing source shim loses its volatile negotiation state
-        // (outstanding requests become unresolved — their fate settles
-        // against ground truth); its durable intent journal survives and
-        // is replayed on recovery.
-        for &(wi, is_recover) in &crash_recover {
-            let Some(w) = schedule.get(wi) else { continue };
-            if !is_recover {
-                net.set_down(w.rack);
-                down.insert(w.rack);
-                emit(sink, || Event::ShimCrashed {
-                    rack: w.rack.index() as u64,
-                });
-                // pre-copies streaming *into* the crashed rack die with
-                // it. With a recovery scheduled their journal prepares
-                // survive under the extended lease, so a retransmitted
-                // COMMIT after recovery simply restarts the transfer.
-                // Without one the 2PC context is dead for good: emit the
-                // failure and abort the journalled prepare now —
-                // symmetric with the lease-abort path — instead of
-                // leaving a silent zombie for the end-of-round sweep.
-                if let Some(ts) = transfers.as_mut() {
-                    let recovers = w.recover_at.is_some();
-                    for id in ts.cancel_rack(w.rack.index(), t) {
-                        let req_id = ReqId(id);
-                        let meta = transfer_meta.remove(&req_id);
-                        sink.counter("transfer.cancelled", 1);
-                        let Some(meta) = meta else { continue };
-                        if recovers {
-                            continue;
-                        }
-                        rack_failed_transfers += 1;
-                        emit(sink, || Event::TransferFailed {
-                            req: id,
-                            vm: meta.vm.index() as u64,
-                            attempts: 0,
-                        });
-                        sink.counter("transfer.failed", 1);
-                        let Some(ep) = endpoints.get_mut(meta.dst_rack.index()) else {
-                            continue;
-                        };
-                        if let Some((vm, _)) =
-                            ep.handle_abort(&mut cluster.placement, &cluster.deps, req_id)
-                        {
-                            report.txn_aborted += 1;
-                            emit(sink, || Event::TxnAborted {
-                                req: id,
-                                vm: vm.index() as u64,
-                            });
-                            sink.counter("txn.aborted", 1);
-                        }
-                    }
-                }
-                if let Some(&i) = source_index.get(&w.rack) {
-                    let Some(shim) = shims.get_mut(i) else {
-                        continue;
-                    };
-                    shim.down = true;
-                    shim.started = false;
-                    let lost: Vec<Outstanding> = std::mem::take(&mut shim.outstanding)
-                        .into_values()
-                        .chain(std::mem::take(&mut shim.zombies).into_values())
-                        .collect();
-                    shim.unresolved.extend(lost);
-                }
-            } else {
-                net.set_up(w.rack);
-                down.remove(&w.rack);
-                emit(sink, || Event::ShimRecovered {
-                    rack: w.rack.index() as u64,
-                });
-                report.recoveries += 1;
-                // journal replay: re-ACK committed transfers, abort
-                // orphaned prepares whose lease lapsed while down and
-                // prepares journalled under a since-superseded epoch —
-                // the restore path can never resurrect old-epoch intents
-                let Some(ep) = endpoints.get_mut(w.rack.index()) else {
-                    continue;
-                };
-                let rep =
-                    ep.recover_fenced(&mut cluster.placement, &cluster.deps, t, failover.epochs());
-                sink.counter("journal.replayed", rep.replayed as u64);
-                sink.counter("journal.reacked", rep.reacks.len() as u64);
-                sink.counter("journal.forwarded", rep.forwarded as u64);
-                for req_id in rep.reacks {
-                    let epoch = failover.view_of(w.rack);
-                    net.send(t, w.rack, req_id.source(), ShimMsg::Ack { req_id, epoch });
-                }
-                for (req, vm) in rep.lease_aborts.iter().chain(rep.epoch_aborts.iter()) {
-                    let (req, vm) = (*req, *vm);
-                    report.txn_aborted += 1;
-                    emit(sink, || Event::TxnAborted {
-                        req: req.0,
-                        vm: vm.index() as u64,
-                    });
-                    sink.counter("txn.aborted", 1);
-                }
-                if let Some(&i) = source_index.get(&w.rack) {
-                    if let Some(shim) = shims.get_mut(i) {
-                        shim.down = false;
-                        // rejoin heartbeating first; plan once the
-                        // liveness view has had a full beacon period to
-                        // repopulate
-                        shim.resume_at = t + cfg.beacon_every(w.rack) + 1;
-                    }
-                }
-            }
-        }
-
-        // phase 1b — link-fault windows scheduled for this tick,
-        // propagated into the transfer plane: a failing link stalls or
-        // re-routes every pre-copy crossing it (checkpoint retained,
-        // max-min shares recomputed for the survivors); a restoring link
-        // resumes stalled pre-copies from their checkpoints. Fails run
-        // before restores so a zero-width window nets out to a restore.
-        if let Some(ts) = transfers.as_mut() {
-            for &idx in &link_fails {
-                let Some(w) = cfg.link_faults.get(idx) else {
-                    continue;
-                };
-                let out = ts.fail_link(t, w.link);
-                for s in &out.stalled {
-                    emit(sink, || Event::TransferStalled {
-                        req: s.id,
-                        vm: s.vm,
-                        link: s.link as u64,
-                    });
-                    sink.counter("transfer.stalled", 1);
-                }
-                for r in &out.rerouted {
-                    emit(sink, || Event::TransferRerouted {
-                        req: r.id,
-                        vm: r.vm,
-                        hops: r.hops as u64,
-                    });
-                    sink.counter("transfer.rerouted", 1);
-                }
-            }
-            for &idx in &link_restores {
-                let Some(w) = cfg.link_faults.get(idx) else {
-                    continue;
-                };
-                for r in ts.restore_link(t, w.link) {
-                    emit(sink, || Event::TransferResumed {
-                        req: r.id,
-                        vm: r.vm,
-                        saved: r.saved,
-                    });
-                    sink.counter("transfer.resumed", 1);
-                }
-            }
-        }
-
-        // phase 2 — partition heals scheduled for this tick: reconcile
-        // parked work. A pending VM whose rack is managed by another
-        // shim was (or will be) handled by that manager — replanning it
-        // here would double-manage, so it is dropped and counted as a
-        // reconciliation conflict. Shims the cut starved into parking
-        // with work left are woken for a post-heal replan.
-        for &idx in &heals {
-            let Some(p) = cfg.partitions.get(idx) else {
-                continue;
-            };
-            emit(sink, || Event::PartitionHealed {
-                partition: idx as u64,
-                racks: p.members.len() as u64,
             });
-            sink.counter("net.healed", 1);
-            for shim in &mut shims {
-                if !shim.st.pending.is_empty() {
-                    let before = shim.st.pending.len();
-                    let rack = shim.st.rack;
-                    shim.st
-                        .pending
-                        .retain(|&vm| failover.manager_of(cluster.placement.rack_of(vm)) == rack);
-                    report.reconciliations += before - shim.st.pending.len();
-                }
-                if shim.done && !shim.down && !shim.st.pending.is_empty() {
-                    shim.done = false;
-                    shim.gave_up = true;
-                    shim.rounds_left = shim.rounds_left.max(1);
-                }
-            }
         }
+        self.source_index = shims
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (s.st.rack, i))
+            .collect();
+        self.shims = shims;
+    }
 
-        // phase 2b — per-rack alert checks: rescan the rack for fresh
-        // pre-alerts at its own virtual-time interval, independent of
-        // round boundaries. VMs already managed (pending, in-flight,
-        // unknown-fate, or moved) are never re-adopted.
-        for &r in &checks {
-            let every = cfg.alert_check_every(r);
-            if every > 0 {
-                seen.insert(t + every);
-                agenda.schedule_at(
-                    VirtualTime::new(t + every),
-                    r.index() as u64,
-                    FabricEvent::AlertCheck(r),
-                );
-            }
-            let Some(&i) = source_index.get(&r) else {
-                continue;
-            };
-            let (victims, _) = select_victims(
-                &cluster.placement,
-                &cluster.dcn.inventory,
-                &sim,
-                r,
-                alerts,
-                alert_lookup(alert_values),
-            );
-            let Some(shim) = shims.get_mut(i) else {
-                continue;
-            };
-            if shim.down {
+    /// Regional takeover at round start: an alerted rack whose shim the
+    /// detector has already declared Dead hands its alerts to a
+    /// deterministic successor — the lowest-index live alerted rack in
+    /// its region, else the lowest-index live alerted rack anywhere.
+    /// Returns the adopted racks per successor.
+    fn adopt_dead(&mut self, crashed: &[RackId]) -> BTreeMap<RackId, Vec<RackId>> {
+        let mut adopted: BTreeMap<RackId, Vec<RackId>> = BTreeMap::new();
+        for &r in crashed {
+            if self.failover.detector.health(r) != ShimHealth::Dead {
                 continue;
             }
-            let mut busy: BTreeSet<VmId> = shim
-                .st
-                .pending
+            let region = self
+                .cluster
+                .dcn
+                .neighbor_racks(r, self.cluster.sim.region_hops);
+            let succ = region
                 .iter()
                 .copied()
-                .chain(shim.outstanding.values().map(|o| o.vm))
-                .chain(shim.zombies.values().map(|o| o.vm))
-                .chain(shim.unresolved.iter().map(|o| o.vm))
-                .chain(shim.st.plan.moves.iter().map(|m| m.vm))
-                .collect();
-            // a VM whose pre-copy is mid-stream is already managed:
-            // re-adopting it here would double-plan the same move
-            if let Some(ts) = transfers.as_ref() {
-                busy.extend(
-                    ts.in_flight_vms()
-                        .into_iter()
-                        .map(|v| VmId::from_index(v as usize)),
-                );
-            }
-            let fresh: Vec<VmId> = victims
-                .into_iter()
-                .filter(|vm| !busy.contains(vm))
-                .collect();
-            emit(sink, || Event::AlertCheckFired {
-                rack: r.index() as u64,
-                tick: t,
-                fresh: fresh.len() as u64,
-            });
-            sink.counter("alerts.checks", 1);
-            if !fresh.is_empty() {
-                shim.st.pending.extend(fresh);
-                shim.done = false;
-                shim.gave_up = true;
-                shim.rounds_left = shim.rounds_left.max(1);
+                .filter(|s| self.racks.contains(s))
+                .min()
+                .or_else(|| self.racks.first().copied());
+            if let Some(s) = succ {
+                self.take_over(r, s);
+                adopted.entry(s).or_default().push(r);
             }
         }
+        adopted
+    }
 
-        // phase 3 — liveness beacons: every live rack announces itself to
-        // every source shim at t = 0 (Hello) and at its beacon interval
-        // after (Heartbeat). The failure detector watches the *emission*
-        // (simulator ground truth): a partitioned-but-alive shim keeps
-        // emitting, so a cut never looks like a crash and takeover stays
-        // crash-only. The recurrence re-arms first — even for a down
-        // rack — so the cadence is preserved across crash windows.
-        for &r in &beacons {
-            let every = cfg.beacon_every(r);
-            if every > 0 {
-                seen.insert(t + every);
-                agenda.schedule_at(
-                    VirtualTime::new(t + every),
-                    r.index() as u64,
-                    FabricEvent::Beacon(r),
-                );
+    /// Hand `rack`'s region to `by`. The first handover bumps the
+    /// rack's epoch so the deposed shim's 2PC traffic can be fenced when
+    /// it returns; a continued one is not announced again.
+    fn take_over(&mut self, rack: RackId, by: RackId) {
+        let continued = self.failover.taken_over(rack) && self.failover.manager_of(rack) == by;
+        let epoch = self.failover.take_over(rack, by);
+        if !continued {
+            emit(self.sink, || Event::RegionTakenOver {
+                rack: rack.index() as u64,
+                by: by.index() as u64,
+                epoch,
+            });
+            self.sink.counter("region.takeovers", 1);
+            self.report.takeovers += 1;
+        }
+    }
+
+    /// Seed the agenda with every schedule window, heal and beacon, and
+    /// the hello-window planning gate.
+    fn seed_agenda(&mut self) {
+        for (i, w) in self.schedule.iter().enumerate() {
+            let actor = w.rack.index() as u64;
+            self.agenda
+                .schedule(w.crash_at, actor, FabricEvent::Crash(i));
+            if let Some(r) = w.recover_at {
+                self.agenda.schedule(r, actor, FabricEvent::Recover(i));
             }
-            if down.contains(&r) {
+        }
+        for (i, p) in self.cfg.partitions.iter().enumerate() {
+            if let Some(h) = p.heal_at {
+                self.agenda.schedule(h, i as u64, FabricEvent::Heal(i));
+            }
+        }
+        // link faults only touch the transfer plane: with the model
+        // disabled they are not seeded at all, so the agenda (and the
+        // round) stays byte-identical to the fault-free fabric
+        if self.transfers.is_some() {
+            for (i, w) in self.cfg.link_faults.iter().enumerate() {
+                let actor = w.link as u64;
+                self.agenda
+                    .schedule(w.fail_at, actor, FabricEvent::LinkFail(i));
+                if let Some(r) = w.restore_at {
+                    self.agenda.schedule(r, actor, FabricEvent::LinkRestore(i));
+                }
+            }
+        }
+        // every rack beacons from tick 0 (Hello), then self-reschedules
+        // at its own interval — the emit_self idiom, flattened: the
+        // recurrence is re-armed by the Beacon handler so a down rack
+        // keeps cadence
+        for r in (0..self.cluster.dcn.rack_count()).map(RackId::from_index) {
+            self.agenda
+                .schedule(0, r.index() as u64, FabricEvent::Beacon(r));
+        }
+        for &(r, every) in &self.cfg.alert_checks {
+            if every > 0 {
+                self.agenda
+                    .schedule(every, r.index() as u64, FabricEvent::AlertCheck(r));
+            }
+        }
+        self.agenda
+            .wake(self.cfg.hello_window, WakeReason::ShimStart);
+    }
+
+    /// One activation at tick `t`: the due events' handlers in phase
+    /// order, then every per-tick phase. The order is the per-tick
+    /// loop's and must not change — the digest suites pin it.
+    fn activate(&mut self) {
+        let mut due = self.agenda.sim.take_due(VirtualTime::new(self.t));
+        // a stable sort: pop order within a phase is schedule order,
+        // which reproduces the historical iteration orders (schedule
+        // order for windows, partition-index order for heals, rack order
+        // for beacons)
+        due.sort_by_key(|ev| ev.event.phase());
+        for ev in due {
+            self.on_event(ev.event);
+        }
+        self.detect();
+        self.deliver();
+        self.poll_transfers();
+        self.audit_transfers();
+        self.expire_leases(self.t, true);
+        self.step_shims();
+    }
+
+    fn on_event(&mut self, event: FabricEvent) {
+        match event {
+            FabricEvent::Crash(i) => self.on_crash(i),
+            FabricEvent::Recover(i) => self.on_recover(i),
+            FabricEvent::Heal(i) => self.on_heal(i),
+            FabricEvent::LinkFail(i) => self.on_link_fail(i),
+            FabricEvent::LinkRestore(i) => self.on_link_restore(i),
+            FabricEvent::AlertCheck(r) => self.on_alert_check(r),
+            FabricEvent::Beacon(r) => self.on_beacon(r),
+            FabricEvent::Wake(WakeReason::Timeout) => self.agenda.timeout_wake = None,
+            FabricEvent::Wake(_) => {}
+        }
+    }
+
+    // ---- shared bookkeeping ---------------------------------------------
+
+    fn txn_aborted(&mut self, req: ReqId, vm: VmId) {
+        self.report.txn_aborted += 1;
+        emit(self.sink, || Event::TxnAborted {
+            req: req.0,
+            vm: vm.index() as u64,
+        });
+        self.sink.counter("txn.aborted", 1);
+    }
+
+    fn txn_committed(&mut self, req: ReqId, vm: VmId) {
+        self.report.txn_committed += 1;
+        emit(self.sink, || Event::TxnCommitted {
+            req: req.0,
+            vm: vm.index() as u64,
+        });
+        self.sink.counter("txn.committed", 1);
+    }
+
+    /// Roll back `req`'s journalled prepare at `rack`'s endpoint, if it
+    /// holds one (lease released, source placement restored).
+    fn abort_at(&mut self, rack: RackId, req: ReqId) {
+        let aborted = self
+            .endpoints
+            .get_mut(rack.index())
+            .and_then(|ep| ep.handle_abort(&mut self.cluster.placement, &self.cluster.deps, req));
+        if let Some((vm, _)) = aborted {
+            self.txn_aborted(req, vm);
+        }
+    }
+
+    /// Epoch fence: a 2PC message from a deposed manager's term mutates
+    /// nothing — the sender learns the current epoch from a `StaleEpoch`
+    /// reject and must replan. Returns whether the message was fenced.
+    fn fenced(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) -> bool {
+        let Some(current) = self.failover.fence(from, epoch) else {
+            return false;
+        };
+        self.report.fenced += 1;
+        emit(self.sink, || Event::StaleEpochRejected {
+            req: req_id.0,
+            rack: to.index() as u64,
+            stale: epoch,
+            current,
+        });
+        self.sink.counter("txn.fenced", 1);
+        let reject = ShimMsg::Reject {
+            req_id,
+            reason: RejectReason::StaleEpoch,
+            epoch: current,
+        };
+        self.net.send(self.t, to, from, reject);
+        true
+    }
+
+    fn transfer_started(&mut self, s: &sheriff_transfer::Started) {
+        self.report.transfers_started += 1;
+        emit(self.sink, || Event::TransferStarted {
+            req: s.id,
+            vm: s.vm,
+            bytes: s.bytes,
+            hops: s.hops as u64,
+            rate: s.rate,
+            waited: s.waited,
+        });
+        self.sink.counter("transfer.started", 1);
+        if s.rerouted {
+            self.transfer_rerouted(s.id, s.vm, s.hops);
+        }
+    }
+
+    fn transfer_rerouted(&mut self, req: u64, vm: u64, hops: usize) {
+        emit(self.sink, || Event::TransferRerouted {
+            req,
+            vm,
+            hops: hops as u64,
+        });
+        self.sink.counter("transfer.rerouted", 1);
+    }
+
+    fn transfer_resumed(&mut self, r: &sheriff_transfer::Resumed) {
+        emit(self.sink, || Event::TransferResumed {
+            req: r.id,
+            vm: r.vm,
+            saved: r.saved,
+        });
+        self.sink.counter("transfer.resumed", 1);
+    }
+
+    fn transfer_failed(&mut self, req: u64, vm: u64, attempts: u64) {
+        emit(self.sink, || Event::TransferFailed { req, vm, attempts });
+        self.sink.counter("transfer.failed", 1);
+    }
+
+    // ---- agenda events (phases 1–5) -------------------------------------
+
+    /// Crash window `wi` opens. The crashing source shim loses its
+    /// volatile negotiation state (outstanding requests become
+    /// unresolved — their fate settles against ground truth); its
+    /// durable intent journal survives and is replayed on recovery.
+    fn on_crash(&mut self, wi: usize) {
+        let Some(w) = self.schedule.get(wi).copied() else {
+            return;
+        };
+        self.net.set_down(w.rack);
+        self.down.insert(w.rack);
+        emit(self.sink, || Event::ShimCrashed {
+            rack: w.rack.index() as u64,
+        });
+        // pre-copies streaming *into* the crashed rack die with it. With
+        // a recovery scheduled their journal prepares survive under the
+        // extended lease, so a retransmitted COMMIT after recovery simply
+        // restarts the transfer. Without one the 2PC context is dead for
+        // good: emit the failure and abort the journalled prepare now —
+        // symmetric with the lease-abort path — instead of leaving a
+        // silent zombie for the end-of-round sweep.
+        let t = self.t;
+        let cancelled = self
+            .transfers
+            .as_mut()
+            .map(|ts| ts.cancel_rack(w.rack.index(), t))
+            .unwrap_or_default();
+        for id in cancelled {
+            let req_id = ReqId(id);
+            let meta = self.transfer_meta.remove(&req_id);
+            self.sink.counter("transfer.cancelled", 1);
+            let Some(meta) = meta else { continue };
+            if w.recover_at.is_some() {
                 continue;
             }
-            if failover.detector.observe_emission(r, failover.clock + t) == ShimHealth::Dead {
-                // a shim the detector wrote off is beaconing again:
-                // management reverts to it, while its stale epoch view
-                // keeps its old 2PC traffic fenced until it adopts the
-                // bump
-                failover.reinstate(r);
+            self.rack_failed_transfers += 1;
+            self.transfer_failed(id, meta.vm.index() as u64, 0);
+            self.abort_at(meta.dst_rack, req_id);
+        }
+        let shim = self
+            .source_index
+            .get(&w.rack)
+            .and_then(|&i| self.shims.get_mut(i));
+        if let Some(shim) = shim {
+            shim.started = false;
+            let lost: Vec<Outstanding> = std::mem::take(&mut shim.outstanding)
+                .into_values()
+                .chain(std::mem::take(&mut shim.zombies).into_values())
+                .collect();
+            shim.unresolved.extend(lost);
+        }
+    }
+
+    /// Crash window `wi` closes: journal replay re-ACKs committed
+    /// transfers and aborts orphaned prepares whose lease lapsed while
+    /// down and prepares journalled under a since-superseded epoch — the
+    /// restore path can never resurrect old-epoch intents.
+    fn on_recover(&mut self, wi: usize) {
+        let Some(w) = self.schedule.get(wi).copied() else {
+            return;
+        };
+        let t = self.t;
+        self.net.set_up(w.rack);
+        self.down.remove(&w.rack);
+        emit(self.sink, || Event::ShimRecovered {
+            rack: w.rack.index() as u64,
+        });
+        self.report.recoveries += 1;
+        let Some(ep) = self.endpoints.get_mut(w.rack.index()) else {
+            return;
+        };
+        let rep = ep.recover_fenced(
+            &mut self.cluster.placement,
+            &self.cluster.deps,
+            t,
+            self.failover.epochs(),
+        );
+        self.sink.counter("journal.replayed", rep.replayed as u64);
+        self.sink
+            .counter("journal.reacked", rep.reacks.len() as u64);
+        self.sink.counter("journal.forwarded", rep.forwarded as u64);
+        for req_id in rep.reacks {
+            let epoch = self.failover.view_of(w.rack);
+            self.net
+                .send(t, w.rack, req_id.source(), ShimMsg::Ack { req_id, epoch });
+        }
+        for &(req, vm) in rep.lease_aborts.iter().chain(rep.epoch_aborts.iter()) {
+            self.txn_aborted(req, vm);
+        }
+        let shim = self
+            .source_index
+            .get(&w.rack)
+            .and_then(|&i| self.shims.get_mut(i));
+        if let Some(shim) = shim {
+            // rejoin heartbeating first; plan once the liveness view has
+            // had a full beacon period to repopulate
+            shim.resume_at = t + self.cfg.beacon_every(w.rack) + 1;
+        }
+    }
+
+    /// Link-fault window `idx` opens: every pre-copy crossing the link
+    /// stalls at its checkpoint or re-routes (max-min shares recomputed
+    /// for the survivors). Fails run before restores, so a zero-width
+    /// window nets out to a restore.
+    fn on_link_fail(&mut self, idx: usize) {
+        let (Some(ts), Some(w)) = (self.transfers.as_mut(), self.cfg.link_faults.get(idx)) else {
+            return;
+        };
+        let out = ts.fail_link(self.t, w.link);
+        for s in &out.stalled {
+            emit(self.sink, || Event::TransferStalled {
+                req: s.id,
+                vm: s.vm,
+                link: s.link as u64,
+            });
+            self.sink.counter("transfer.stalled", 1);
+        }
+        for r in &out.rerouted {
+            self.transfer_rerouted(r.id, r.vm, r.hops);
+        }
+    }
+
+    /// Link-fault window `idx` closes: stalled pre-copies resume from
+    /// their checkpoints.
+    fn on_link_restore(&mut self, idx: usize) {
+        let (Some(ts), Some(w)) = (self.transfers.as_mut(), self.cfg.link_faults.get(idx)) else {
+            return;
+        };
+        for r in ts.restore_link(self.t, w.link) {
+            self.transfer_resumed(&r);
+        }
+    }
+
+    /// Partition window `idx` heals: reconcile parked work. A pending VM
+    /// whose rack is managed by another shim was (or will be) handled by
+    /// that manager — replanning it here would double-manage, so it is
+    /// dropped and counted as a reconciliation conflict. Shims the cut
+    /// starved into parking with work left are woken for a post-heal
+    /// replan.
+    fn on_heal(&mut self, idx: usize) {
+        let Some(p) = self.cfg.partitions.get(idx) else {
+            return;
+        };
+        emit(self.sink, || Event::PartitionHealed {
+            partition: idx as u64,
+            racks: p.members.len() as u64,
+        });
+        self.sink.counter("net.healed", 1);
+        for shim in &mut self.shims {
+            if !shim.st.pending.is_empty() {
+                let before = shim.st.pending.len();
+                let rack = shim.st.rack;
+                let (failover, placement) = (&*self.failover, &self.cluster.placement);
+                shim.st
+                    .pending
+                    .retain(|&vm| failover.manager_of(placement.rack_of(vm)) == rack);
+                self.report.reconciliations += before - shim.st.pending.len();
             }
-            let epoch = failover.view_of(r);
-            for &s in &racks {
-                let msg = if t == 0 {
-                    ShimMsg::Hello { rack: r, epoch }
-                } else {
-                    ShimMsg::Heartbeat {
-                        rack: r,
-                        tick: t,
-                        epoch,
-                    }
-                };
-                net.send(t, r, s, msg);
+            if shim.done && !self.down.contains(&shim.st.rack) && !shim.st.pending.is_empty() {
+                shim.wake();
             }
         }
+    }
 
-        // phase 4 — adaptive failure detection: silence beyond the
-        // thresholds walks a shim Alive → Suspect → Dead. A Dead shim
-        // that still holds unplanned work mid-round hands it to the
-        // lowest-index live shim under a bumped epoch; its in-flight 2PC
-        // stays with the zombie/lease machinery, which already settles
-        // it safely.
-        for (rack, _old, new) in failover.detector.tick(failover.clock + t) {
+    /// A per-rack alert check: rescan the rack for fresh pre-alerts at
+    /// its own virtual-time interval, independent of round boundaries.
+    /// VMs already managed (pending, in-flight, unknown-fate, moved, or
+    /// mid-stream) are never re-adopted.
+    fn on_alert_check(&mut self, r: RackId) {
+        let t = self.t;
+        let every = self.cfg.alert_check_every(r);
+        if every > 0 {
+            self.agenda
+                .schedule(t + every, r.index() as u64, FabricEvent::AlertCheck(r));
+        }
+        if self.down.contains(&r) {
+            return;
+        }
+        let Some(&i) = self.source_index.get(&r) else {
+            return;
+        };
+        let (victims, _) = self.victims(r);
+        let in_flight = self
+            .transfers
+            .as_ref()
+            .map(|ts| ts.in_flight_vms())
+            .unwrap_or_default();
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let busy: BTreeSet<VmId> = shim
+            .managed()
+            .chain(shim.st.plan.moves.iter().map(|m| m.vm))
+            .chain(in_flight.into_iter().map(|v| VmId::from_index(v as usize)))
+            .collect();
+        let fresh: Vec<VmId> = victims
+            .into_iter()
+            .filter(|vm| !busy.contains(vm))
+            .collect();
+        emit(self.sink, || Event::AlertCheckFired {
+            rack: r.index() as u64,
+            tick: t,
+            fresh: fresh.len() as u64,
+        });
+        self.sink.counter("alerts.checks", 1);
+        if !fresh.is_empty() {
+            shim.st.pending.extend(fresh);
+            shim.wake();
+        }
+    }
+
+    /// A rack's liveness beacon: every live rack announces itself to
+    /// every source shim at t = 0 (Hello) and at its beacon interval
+    /// after (Heartbeat). The failure detector watches the *emission*
+    /// (simulator ground truth): a partitioned-but-alive shim keeps
+    /// emitting, so a cut never looks like a crash and takeover stays
+    /// crash-only. The recurrence re-arms first — even for a down rack —
+    /// so the cadence is preserved across crash windows.
+    fn on_beacon(&mut self, r: RackId) {
+        let t = self.t;
+        let every = self.cfg.beacon_every(r);
+        if every > 0 {
+            self.agenda
+                .schedule(t + every, r.index() as u64, FabricEvent::Beacon(r));
+        }
+        if self.down.contains(&r) {
+            return;
+        }
+        let now = self.failover.clock + t;
+        if self.failover.detector.observe_emission(r, now) == ShimHealth::Dead {
+            // a shim the detector wrote off is beaconing again:
+            // management reverts to it, while its stale epoch view keeps
+            // its old 2PC traffic fenced until it adopts the bump
+            self.failover.reinstate(r);
+        }
+        let epoch = self.failover.view_of(r);
+        for &s in &self.racks {
+            let msg = if t == 0 {
+                ShimMsg::Hello { rack: r, epoch }
+            } else {
+                ShimMsg::Heartbeat {
+                    rack: r,
+                    tick: t,
+                    epoch,
+                }
+            };
+            self.net.send(t, r, s, msg);
+        }
+    }
+
+    // ---- per-tick phases (6–11) -----------------------------------------
+
+    /// Adaptive failure detection: silence beyond the thresholds walks a
+    /// shim Alive → Suspect → Dead.
+    fn detect(&mut self) {
+        let now = self.failover.clock + self.t;
+        for (rack, _old, new) in self.failover.detector.tick(now) {
             match new {
                 ShimHealth::Suspect => {
-                    emit(sink, || Event::ShimSuspected {
+                    emit(self.sink, || Event::ShimSuspected {
                         rack: rack.index() as u64,
                     });
-                    sink.counter("detector.suspected", 1);
+                    self.sink.counter("detector.suspected", 1);
                 }
                 ShimHealth::Dead => {
-                    emit(sink, || Event::ShimDeclaredDead {
+                    emit(self.sink, || Event::ShimDeclaredDead {
                         rack: rack.index() as u64,
                     });
-                    sink.counter("detector.declared_dead", 1);
-                    let Some(&i) = source_index.get(&rack) else {
-                        continue;
-                    };
-                    if !shims
-                        .get(i)
-                        .is_some_and(|s| s.down && !s.st.pending.is_empty())
-                    {
-                        continue;
-                    }
-                    let succ = shims
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, s)| j != i && !s.down)
-                        .map(|(j, s)| (s.st.rack, j))
-                        .min();
-                    let Some((succ_rack, j)) = succ else {
-                        continue;
-                    };
-                    let continued =
-                        failover.taken_over(rack) && failover.manager_of(rack) == succ_rack;
-                    let epoch = failover.take_over(rack, succ_rack);
-                    if !continued {
-                        emit(sink, || Event::RegionTakenOver {
-                            rack: rack.index() as u64,
-                            by: succ_rack.index() as u64,
-                            epoch,
-                        });
-                        sink.counter("region.takeovers", 1);
-                        report.takeovers += 1;
-                    }
-                    let moved = match shims.get_mut(i) {
-                        Some(s) => std::mem::take(&mut s.st.pending),
-                        None => Vec::new(),
-                    };
-                    if let Some(s) = shims.get_mut(j) {
-                        s.st.pending.extend(moved);
-                        s.done = false;
-                        s.gave_up = true;
-                        s.rounds_left = s.rounds_left.max(1);
-                    }
+                    self.sink.counter("detector.declared_dead", 1);
+                    self.hand_over(rack);
                 }
                 ShimHealth::Alive => {}
             }
         }
+    }
 
-        // phase 5 — deliveries: endpoints answer requests, sources absorb
-        // replies. Every pending `deliver_at` has a Delivery wake, so the
-        // poll happens exactly at each message's delivery tick.
-        for (from, to, msg) in net.poll(t) {
+    /// A Dead shim that is down and still holds unplanned work mid-round
+    /// hands it to the lowest-index live shim under a bumped epoch; its
+    /// in-flight 2PC stays with the zombie/lease machinery, which
+    /// already settles it safely.
+    fn hand_over(&mut self, rack: RackId) {
+        let Some(&i) = self.source_index.get(&rack) else {
+            return;
+        };
+        let parked = self.shims.get(i).is_some_and(|s| !s.st.pending.is_empty());
+        if !(parked && self.down.contains(&rack)) {
+            return;
+        }
+        let succ = self
+            .shims
+            .iter()
+            .enumerate()
+            .filter(|&(j, s)| j != i && !self.down.contains(&s.st.rack))
+            .map(|(j, s)| (s.st.rack, j))
+            .min();
+        let Some((succ_rack, j)) = succ else {
+            return;
+        };
+        self.take_over(rack, succ_rack);
+        let moved = match self.shims.get_mut(i) {
+            Some(s) => std::mem::take(&mut s.st.pending),
+            None => Vec::new(),
+        };
+        if let Some(s) = self.shims.get_mut(j) {
+            s.st.pending.extend(moved);
+            s.wake();
+        }
+    }
+
+    /// Deliveries: endpoints answer requests, sources absorb replies.
+    /// Every pending `deliver_at` has a Delivery wake, so the poll
+    /// happens exactly at each message's delivery tick.
+    fn deliver(&mut self) {
+        for (from, to, msg) in self.net.poll(self.t) {
+            let link = (from, to);
             match msg {
                 ShimMsg::Hello { rack, .. } | ShimMsg::Heartbeat { rack, .. } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        if let Some(shim) = shims.get_mut(i) {
-                            shim.liveness.observe(rack, t);
-                        }
-                    }
+                    self.on_hello(to, rack)
                 }
                 ShimMsg::Request {
                     req_id, vm, dest, ..
-                } => {
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    let hits_before = ep.dedup_hits();
-                    let verdict =
-                        ep.handle_request(&mut cluster.placement, &cluster.deps, req_id, vm, dest);
-                    if ep.dedup_hits() > hits_before {
-                        emit(sink, || Event::DuplicateAbsorbed { req: req_id.0 });
-                    }
-                    let my_epoch = failover.view_of(to);
-                    net.send(
-                        t,
-                        to,
-                        from,
-                        ShimEndpoint::reply_msg(req_id, verdict, my_epoch),
-                    );
-                }
+                } => self.on_request(link, req_id, vm, dest),
                 ShimMsg::Prepare {
                     req_id,
                     vm,
                     dest,
                     lease,
                     epoch,
-                } => {
-                    // epoch fence: a PREPARE from a deposed manager's
-                    // term mutates nothing — the sender learns the
-                    // current epoch from the reject and must replan
-                    if let Some(current) = failover.fence(from, epoch) {
-                        report.fenced += 1;
-                        emit(sink, || Event::StaleEpochRejected {
-                            req: req_id.0,
-                            rack: to.index() as u64,
-                            stale: epoch,
-                            current,
-                        });
-                        sink.counter("txn.fenced", 1);
-                        net.send(
-                            t,
-                            to,
-                            from,
-                            ShimMsg::Reject {
-                                req_id,
-                                reason: RejectReason::StaleEpoch,
-                                epoch: current,
-                            },
-                        );
-                        continue;
-                    }
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    let hits_before = ep.dedup_hits();
-                    let journalled_before = ep.journal().len();
-                    let reply = ep.handle_prepare(
-                        &mut cluster.placement,
-                        &cluster.deps,
-                        req_id,
-                        vm,
-                        dest,
-                        lease,
-                        epoch,
-                    );
-                    if ep.journal().len() > journalled_before {
-                        report.txn_prepared += 1;
-                        emit(sink, || Event::TxnPrepared {
-                            req: req_id.0,
-                            vm: vm.index() as u64,
-                            dest_host: dest.index() as u64,
-                        });
-                        sink.counter("txn.prepared", 1);
-                    }
-                    if ep.dedup_hits() > hits_before {
-                        emit(sink, || Event::DuplicateAbsorbed { req: req_id.0 });
-                    }
-                    let my_epoch = failover.view_of(to);
-                    net.send(
-                        t,
-                        to,
-                        from,
-                        ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
-                    );
-                }
-                ShimMsg::PrepareOk { req_id, .. } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        let Some(shim) = shims.get_mut(i) else {
-                            continue;
-                        };
-                        if let Some(o) = shim.outstanding.get_mut(&req_id) {
-                            if o.phase == TxnPhase::Preparing {
-                                // vote is in: the transaction will commit,
-                                // so the batch made progress
-                                o.phase = TxnPhase::Committing;
-                                o.attempt = 0;
-                                o.deadline = t + cfg.backoff.delay(0, req_id);
-                                shim.progressed = true;
-                                let dest_rack = cluster.placement.rack_of_host(o.dest);
-                                let epoch = failover.view_of(shim.st.rack);
-                                net.send(
-                                    t,
-                                    shim.st.rack,
-                                    dest_rack,
-                                    ShimMsg::Commit { req_id, epoch },
-                                );
-                            }
-                            // duplicate vote for a committing txn: ignore
-                        } else if let Some(mut o) = shim.zombies.remove(&req_id) {
-                            // late vote resolves the zombie: the
-                            // destination is alive and holds the prepare,
-                            // so drive the commit home instead of letting
-                            // the lease strand it
-                            let dest_rack = cluster.placement.rack_of_host(o.dest);
-                            shim.liveness.observe(dest_rack, t);
-                            o.phase = TxnPhase::Committing;
-                            o.attempt = 0;
-                            o.deadline = t + cfg.backoff.delay(0, req_id);
-                            shim.outstanding.insert(req_id, o);
-                            shim.progressed = true;
-                            let epoch = failover.view_of(shim.st.rack);
-                            net.send(
-                                t,
-                                shim.st.rack,
-                                dest_rack,
-                                ShimMsg::Commit { req_id, epoch },
-                            );
-                        }
-                    }
-                }
-                ShimMsg::Commit { req_id, epoch } => {
-                    if let Some(current) = failover.fence(from, epoch) {
-                        report.fenced += 1;
-                        emit(sink, || Event::StaleEpochRejected {
-                            req: req_id.0,
-                            rack: to.index() as u64,
-                            stale: epoch,
-                            current,
-                        });
-                        sink.counter("txn.fenced", 1);
-                        net.send(
-                            t,
-                            to,
-                            from,
-                            ShimMsg::Reject {
-                                req_id,
-                                reason: RejectReason::StaleEpoch,
-                                epoch: current,
-                            },
-                        );
-                        continue;
-                    }
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
-                    if was_prepared && transfers.is_some() {
-                        // journal-level epoch fence first, mirroring
-                        // handle_commit: a stale COMMIT falls through to
-                        // the normal reject path below
-                        let stale = ep.journal().get(req_id).is_some_and(|r| epoch < r.epoch);
-                        if !stale {
-                            if transfer_meta.contains_key(&req_id) {
-                                // duplicate COMMIT while the pre-copy
-                                // streams: the ACK flows at completion
-                                continue;
-                            }
-                            let Some(ts) = transfers.as_mut() else {
-                                continue;
-                            };
-                            // hand the migration to the scheduler: the
-                            // journal entry stays Prepared under an
-                            // extended lease until the last byte lands,
-                            // so the periodic sweep cannot abort it
-                            let (vm, src_host, dst_host) = match ep.journal().get(req_id) {
-                                Some(r) => (r.vm, r.src, r.dst),
-                                None => continue,
-                            };
-                            ep.extend_lease(req_id, u64::MAX);
-                            let bytes = cluster.placement.spec(vm).capacity
-                                * ts.config().bytes_per_capacity;
-                            let src_rack = cluster.placement.rack_of_host(src_host);
-                            let dst_rack = cluster.placement.rack_of_host(dst_host);
-                            let candidates = if src_rack == dst_rack {
-                                Vec::new()
-                            } else {
-                                sheriff_transfer::route_candidates(
-                                    &cluster.dcn.graph,
-                                    cluster.dcn.rack_node(src_rack),
-                                    cluster.dcn.rack_node(dst_rack),
-                                    ts.config().k_paths,
-                                )
-                            };
-                            let spec = sheriff_transfer::TransferSpec {
-                                id: req_id.0,
-                                vm: vm.index() as u64,
-                                dst_rack: to.index(),
-                                bytes,
-                            };
-                            transfer_meta.insert(
-                                req_id,
-                                TransferMeta {
-                                    vm,
-                                    src_rack: from,
-                                    dst_rack: to,
-                                    epoch,
-                                },
-                            );
-                            match ts.submit(t, spec, candidates) {
-                                sheriff_transfer::Admission::Started(s) => {
-                                    report.transfers_started += 1;
-                                    emit(sink, || Event::TransferStarted {
-                                        req: s.id,
-                                        vm: s.vm,
-                                        bytes: s.bytes,
-                                        hops: s.hops as u64,
-                                        rate: s.rate,
-                                        waited: s.waited,
-                                    });
-                                    sink.counter("transfer.started", 1);
-                                    if s.rerouted {
-                                        emit(sink, || Event::TransferRerouted {
-                                            req: s.id,
-                                            vm: s.vm,
-                                            hops: s.hops as u64,
-                                        });
-                                        sink.counter("transfer.rerouted", 1);
-                                    }
-                                }
-                                sheriff_transfer::Admission::Queued => {
-                                    sink.counter("transfer.queued", 1);
-                                }
-                            }
-                            continue;
-                        }
-                    }
-                    let reply = ep.handle_commit(req_id, epoch);
-                    if was_prepared && reply == TwoPhaseReply::Ack {
-                        report.txn_committed += 1;
-                        if let Some(rec) = ep.journal().get(req_id) {
-                            let vm = rec.vm;
-                            emit(sink, || Event::TxnCommitted {
-                                req: req_id.0,
-                                vm: vm.index() as u64,
-                            });
-                        }
-                        sink.counter("txn.committed", 1);
-                    }
-                    let my_epoch = failover.view_of(to);
-                    net.send(
-                        t,
-                        to,
-                        from,
-                        ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
-                    );
-                }
-                ShimMsg::Abort { req_id, epoch } => {
-                    // a stale-epoch ABORT is fenced like any other 2PC
-                    // mutation; the prepare it targeted drains via its
-                    // lease instead
-                    if let Some(current) = failover.fence(from, epoch) {
-                        report.fenced += 1;
-                        emit(sink, || Event::StaleEpochRejected {
-                            req: req_id.0,
-                            rack: to.index() as u64,
-                            stale: epoch,
-                            current,
-                        });
-                        sink.counter("txn.fenced", 1);
-                        net.send(
-                            t,
-                            to,
-                            from,
-                            ShimMsg::Reject {
-                                req_id,
-                                reason: RejectReason::StaleEpoch,
-                                epoch: current,
-                            },
-                        );
-                        continue;
-                    }
-                    // a pre-copy in flight means the COMMIT was already
-                    // accepted here: the transaction's fate is sealed,
-                    // and this is only the source's best-effort give-up
-                    // ABORT racing the slow transfer. 2PC forbids
-                    // rolling back past COMMIT — let the stream finish;
-                    // ground truth settles the move at the source.
-                    if transfer_meta.contains_key(&req_id) {
-                        sink.counter("transfer.abort_ignored", 1);
-                        continue;
-                    }
-                    let Some(ep) = endpoints.get_mut(to.index()) else {
-                        continue;
-                    };
-                    if let Some((vm, _)) =
-                        ep.handle_abort(&mut cluster.placement, &cluster.deps, req_id)
-                    {
-                        report.txn_aborted += 1;
-                        emit(sink, || Event::TxnAborted {
-                            req: req_id.0,
-                            vm: vm.index() as u64,
-                        });
-                        sink.counter("txn.aborted", 1);
-                    }
-                    // fire-and-forget: the source already walked away
-                }
-                ShimMsg::Ack { req_id, .. } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        let Some(shim) = shims.get_mut(i) else {
-                            continue;
-                        };
-                        // a late ACK for a given-up request still means
-                        // the destination committed: record it. Only the
-                        // zombie case counts as batch progress — for a
-                        // live transaction the PREPARE-OK already did.
-                        let was_zombie = shim.zombies.contains_key(&req_id);
-                        if let Some(o) = shim
-                            .outstanding
-                            .remove(&req_id)
-                            .or_else(|| shim.zombies.remove(&req_id))
-                        {
-                            emit(sink, || Event::AckReceived {
-                                req: req_id.0,
-                                vm: o.vm.index() as u64,
-                            });
-                            emit(sink, || Event::MigrationCommitted {
-                                vm: o.vm.index() as u64,
-                                from_host: o.from.index() as u64,
-                                to_host: o.dest.index() as u64,
-                                cost: o.cost,
-                            });
-                            sink.counter("migrations.committed", 1);
-                            shim.st.plan.moves.push(Move {
-                                vm: o.vm,
-                                from: o.from,
-                                to: o.dest,
-                                cost: o.cost,
-                            });
-                            shim.st.plan.total_cost += o.cost;
-                            if was_zombie {
-                                shim.progressed = true;
-                            }
-                        }
-                        // duplicate ACK: already resolved, ignore
-                    }
-                }
+                } => self.on_prepare(link, req_id, vm, dest, lease, epoch),
+                ShimMsg::PrepareOk { req_id, .. } => self.on_prepare_ok(to, req_id),
+                ShimMsg::Commit { req_id, epoch } => self.on_commit(link, req_id, epoch),
+                ShimMsg::Abort { req_id, epoch } => self.on_abort(link, req_id, epoch),
+                ShimMsg::Ack { req_id, .. } => self.on_ack(to, req_id),
                 ShimMsg::Reject {
                     req_id,
                     reason,
                     epoch,
-                } => {
-                    if let Some(&i) = source_index.get(&to) {
-                        if reason == RejectReason::StaleEpoch {
-                            // the fencing rack told us our term moved on
-                            // (a neighbor took over while we were away):
-                            // adopt it so the replan goes out under the
-                            // current epoch
-                            failover.adopt(to, epoch);
-                        }
-                        let Some(shim) = shims.get_mut(i) else {
-                            continue;
-                        };
-                        if let Some(o) = shim.outstanding.remove(&req_id) {
-                            emit(sink, || Event::RejectReceived {
-                                req: req_id.0,
-                                vm: o.vm.index() as u64,
-                                reason: reject_kind(reason),
-                            });
-                            sink.counter("migrations.rejected", 1);
-                            shim.st.plan.rejected += 1;
-                            shim.st.retries += 1;
-                            if reason == RejectReason::StaleEpoch {
-                                // the pairing was fine — only the term
-                                // was stale; replan without excluding it
-                                shim.gave_up = true;
-                            } else {
-                                shim.st.excluded.insert((o.vm, o.dest));
-                            }
-                            shim.st.pending.push(o.vm);
-                        } else if let Some(o) = shim.zombies.remove(&req_id) {
-                            // late REJECT resolves the zombie: the VM
-                            // definitively did not move, so it is safe to
-                            // replan it elsewhere
-                            emit(sink, || Event::RejectReceived {
-                                req: req_id.0,
-                                vm: o.vm.index() as u64,
-                                reason: reject_kind(reason),
-                            });
-                            sink.counter("migrations.rejected", 1);
-                            shim.st.plan.rejected += 1;
-                            shim.st.retries += 1;
-                            shim.st.pending.push(o.vm);
-                            shim.gave_up = true;
-                        }
-                    }
-                }
+                } => self.on_reject(to, req_id, reason, epoch),
             }
         }
+    }
 
-        // phase 5b — transfer progress: harvest pre-copies that streamed
-        // their last byte (finalize the deferred 2PC commit and ACK the
-        // source) and admit queued transfers into freed slots. Runs
-        // after deliveries so a COMMIT landing this tick is already
-        // submitted, and before lease expiry so a completing commit at
-        // the cap tick beats the sweep, mirroring the delivery rule.
-        if let Some(ts) = transfers.as_mut() {
-            let tick = ts.poll(t);
-            for s in &tick.started {
-                report.transfers_started += 1;
-                emit(sink, || Event::TransferStarted {
-                    req: s.id,
-                    vm: s.vm,
-                    bytes: s.bytes,
-                    hops: s.hops as u64,
-                    rate: s.rate,
-                    waited: s.waited,
-                });
-                sink.counter("transfer.started", 1);
-                if s.rerouted {
-                    emit(sink, || Event::TransferRerouted {
-                        req: s.id,
-                        vm: s.vm,
-                        hops: s.hops as u64,
-                    });
-                    sink.counter("transfer.rerouted", 1);
-                }
+    /// A Hello or Heartbeat reaches source shim `to`.
+    fn on_hello(&mut self, to: RackId, rack: RackId) {
+        let t = self.t;
+        if let Some(shim) = self
+            .source_index
+            .get(&to)
+            .and_then(|&i| self.shims.get_mut(i))
+        {
+            shim.liveness.observe(rack, t);
+        }
+    }
+
+    /// A single-phase REQUEST reaches endpoint `to`.
+    fn on_request(&mut self, (from, to): (RackId, RackId), req_id: ReqId, vm: VmId, dest: HostId) {
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let hits_before = ep.dedup_hits();
+        let verdict = ep.handle_request(
+            &mut self.cluster.placement,
+            &self.cluster.deps,
+            req_id,
+            vm,
+            dest,
+        );
+        if ep.dedup_hits() > hits_before {
+            emit(self.sink, || Event::DuplicateAbsorbed { req: req_id.0 });
+        }
+        let my_epoch = self.failover.view_of(to);
+        self.net.send(
+            self.t,
+            to,
+            from,
+            ShimEndpoint::reply_msg(req_id, verdict, my_epoch),
+        );
+    }
+
+    /// A PREPARE reaches endpoint `to`: journal it and vote.
+    fn on_prepare(
+        &mut self,
+        (from, to): (RackId, RackId),
+        req_id: ReqId,
+        vm: VmId,
+        dest: HostId,
+        lease: u64,
+        epoch: u64,
+    ) {
+        if self.fenced((from, to), req_id, epoch) {
+            return;
+        }
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let hits_before = ep.dedup_hits();
+        let journalled_before = ep.journal().len();
+        let reply = ep.handle_prepare(
+            &mut self.cluster.placement,
+            &self.cluster.deps,
+            req_id,
+            vm,
+            dest,
+            lease,
+            epoch,
+        );
+        if ep.journal().len() > journalled_before {
+            self.report.txn_prepared += 1;
+            emit(self.sink, || Event::TxnPrepared {
+                req: req_id.0,
+                vm: vm.index() as u64,
+                dest_host: dest.index() as u64,
+            });
+            self.sink.counter("txn.prepared", 1);
+        }
+        if ep.dedup_hits() > hits_before {
+            emit(self.sink, || Event::DuplicateAbsorbed { req: req_id.0 });
+        }
+        let my_epoch = self.failover.view_of(to);
+        self.net.send(
+            self.t,
+            to,
+            from,
+            ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
+        );
+    }
+
+    /// A PREPARE-OK reaches source shim `to`: the vote is in, so the
+    /// transaction will commit and the batch made progress. A late vote
+    /// for a zombie resolves it — the destination is alive and holds the
+    /// prepare, so the commit is driven home instead of letting the
+    /// lease strand it. A duplicate vote for a committing txn is
+    /// ignored.
+    fn on_prepare_ok(&mut self, to: RackId, req_id: ReqId) {
+        let t = self.t;
+        let Some(shim) = self
+            .source_index
+            .get(&to)
+            .and_then(|&i| self.shims.get_mut(i))
+        else {
+            return;
+        };
+        if let Some(o) = shim.zombies.remove(&req_id) {
+            shim.liveness
+                .observe(self.cluster.placement.rack_of_host(o.dest), t);
+            shim.outstanding.insert(req_id, o);
+        } else if !shim
+            .outstanding
+            .get(&req_id)
+            .is_some_and(|o| o.phase == TxnPhase::Preparing)
+        {
+            return;
+        }
+        let Some(o) = shim.outstanding.get_mut(&req_id) else {
+            return;
+        };
+        o.phase = TxnPhase::Committing;
+        o.attempt = 0;
+        o.deadline = t + self.cfg.backoff.delay(0, req_id);
+        shim.progressed = true;
+        let dest_rack = self.cluster.placement.rack_of_host(o.dest);
+        let epoch = self.failover.view_of(shim.st.rack);
+        self.net.send(
+            t,
+            shim.st.rack,
+            dest_rack,
+            ShimMsg::Commit { req_id, epoch },
+        );
+    }
+
+    /// A COMMIT reaches endpoint `to`. With the transfer model on, a
+    /// prepared, current-epoch commit starts the pre-copy and the ACK
+    /// waits for its completion; otherwise the journal commits now.
+    fn on_commit(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) {
+        if self.fenced((from, to), req_id, epoch) {
+            return;
+        }
+        let Some(ep) = self.endpoints.get_mut(to.index()) else {
+            return;
+        };
+        let prepared = ep
+            .journal()
+            .get(req_id)
+            .filter(|r| r.state == TxnState::Prepared)
+            .map(|r| (r.vm, r.epoch));
+        // journal-level epoch fence first, mirroring handle_commit: a
+        // stale COMMIT falls through to the normal reject path below
+        if prepared.is_some_and(|(_, e)| epoch >= e) && self.transfers.is_some() {
+            self.start_transfer((from, to), req_id, epoch);
+            return;
+        }
+        let reply = ep.handle_commit(req_id, epoch);
+        if let (Some((vm, _)), TwoPhaseReply::Ack) = (prepared, reply) {
+            self.txn_committed(req_id, vm);
+        }
+        let my_epoch = self.failover.view_of(to);
+        self.net.send(
+            self.t,
+            to,
+            from,
+            ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
+        );
+    }
+
+    /// Hand a committed migration to the transfer scheduler. The journal
+    /// entry stays Prepared under an extended lease until the last byte
+    /// lands, so the periodic sweep cannot abort it. A duplicate COMMIT
+    /// while the pre-copy streams changes nothing: the ACK flows at
+    /// completion.
+    fn start_transfer(&mut self, (from, to): (RackId, RackId), req_id: ReqId, epoch: u64) {
+        if self.transfer_meta.contains_key(&req_id) {
+            return;
+        }
+        let (Some(ts), Some(ep)) = (self.transfers.as_mut(), self.endpoints.get_mut(to.index()))
+        else {
+            return;
+        };
+        let Some((vm, src_host, dst_host)) = ep.journal().get(req_id).map(|r| (r.vm, r.src, r.dst))
+        else {
+            return;
+        };
+        ep.extend_lease(req_id, u64::MAX);
+        let placement = &self.cluster.placement;
+        let bytes = placement.spec(vm).capacity * ts.config().bytes_per_capacity;
+        let src_rack = placement.rack_of_host(src_host);
+        let dst_rack = placement.rack_of_host(dst_host);
+        let candidates = if src_rack == dst_rack {
+            Vec::new()
+        } else {
+            sheriff_transfer::route_candidates(
+                &self.cluster.dcn.graph,
+                self.cluster.dcn.rack_node(src_rack),
+                self.cluster.dcn.rack_node(dst_rack),
+                ts.config().k_paths,
+            )
+        };
+        let spec = sheriff_transfer::TransferSpec {
+            id: req_id.0,
+            vm: vm.index() as u64,
+            dst_rack: to.index(),
+            bytes,
+        };
+        let meta = TransferMeta {
+            vm,
+            src_rack: from,
+            dst_rack: to,
+            epoch,
+        };
+        self.transfer_meta.insert(req_id, meta);
+        match ts.submit(self.t, spec, candidates) {
+            sheriff_transfer::Admission::Started(s) => self.transfer_started(&s),
+            sheriff_transfer::Admission::Queued => self.sink.counter("transfer.queued", 1),
+        }
+    }
+
+    /// A best-effort ABORT reaches endpoint `to`; fire-and-forget, the
+    /// source already walked away. A stale-epoch ABORT is fenced like
+    /// any other 2PC mutation; the prepare it targeted drains via its
+    /// lease instead.
+    fn on_abort(&mut self, link: (RackId, RackId), req_id: ReqId, epoch: u64) {
+        if self.fenced(link, req_id, epoch) {
+            return;
+        }
+        // a pre-copy in flight means the COMMIT was already accepted
+        // here: the transaction's fate is sealed, and this is only the
+        // source's give-up ABORT racing the slow transfer. 2PC forbids
+        // rolling back past COMMIT — let the stream finish; ground truth
+        // settles the move at the source.
+        if self.transfer_meta.contains_key(&req_id) {
+            self.sink.counter("transfer.abort_ignored", 1);
+            return;
+        }
+        self.abort_at(link.1, req_id);
+    }
+
+    /// An ACK reaches source shim `to`. A late ACK for a given-up
+    /// request still means the destination committed: record it. Only
+    /// the zombie case counts as batch progress — for a live transaction
+    /// the PREPARE-OK already did. A duplicate ACK is ignored.
+    fn on_ack(&mut self, to: RackId, req_id: ReqId) {
+        let Some(shim) = self
+            .source_index
+            .get(&to)
+            .and_then(|&i| self.shims.get_mut(i))
+        else {
+            return;
+        };
+        let was_zombie = shim.zombies.contains_key(&req_id);
+        let Some(o) = shim
+            .outstanding
+            .remove(&req_id)
+            .or_else(|| shim.zombies.remove(&req_id))
+        else {
+            return;
+        };
+        emit(self.sink, || Event::AckReceived {
+            req: req_id.0,
+            vm: o.vm.index() as u64,
+        });
+        shim.commit(&o, self.sink);
+        if was_zombie {
+            shim.progressed = true;
+        }
+    }
+
+    /// A REJECT reaches source shim `to`. A `StaleEpoch` reason means a
+    /// neighbor took over while we were away: adopt the current term so
+    /// the replan goes out under it.
+    fn on_reject(&mut self, to: RackId, req_id: ReqId, reason: RejectReason, epoch: u64) {
+        let Some(&i) = self.source_index.get(&to) else {
+            return;
+        };
+        let stale = reason == RejectReason::StaleEpoch;
+        if stale {
+            self.failover.adopt(to, epoch);
+        }
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        if let Some(o) = shim.outstanding.remove(&req_id) {
+            shim.requeue(req_id, o.vm, reason, self.sink);
+            if stale {
+                // the pairing was fine — only the term was stale;
+                // replan without excluding it
+                shim.gave_up = true;
+            } else {
+                shim.st.excluded.insert((o.vm, o.dest));
             }
-            for r in &tick.rerouted {
-                emit(sink, || Event::TransferRerouted {
-                    req: r.id,
-                    vm: r.vm,
-                    hops: r.hops as u64,
-                });
-                sink.counter("transfer.rerouted", 1);
-            }
-            for r in &tick.retried {
-                emit(sink, || Event::TransferRetried {
-                    req: r.id,
-                    vm: r.vm,
-                    attempt: r.attempt as u64,
-                });
-                sink.counter("transfer.retried", 1);
-            }
-            for r in &tick.resumed {
-                emit(sink, || Event::TransferResumed {
-                    req: r.id,
-                    vm: r.vm,
-                    saved: r.saved,
-                });
-                sink.counter("transfer.resumed", 1);
-            }
-            for f in &tick.failed {
-                // retry budget exhausted: escalate to a clean 2PC abort
-                // through the journal — the prepare is rolled back (lease
-                // released, source placement restored) and the source is
-                // told the migration expired so it can replan the VM
-                emit(sink, || Event::TransferFailed {
-                    req: f.id,
-                    vm: f.vm,
-                    attempts: f.attempts as u64,
-                });
-                sink.counter("transfer.failed", 1);
-                let req_id = ReqId(f.id);
-                let Some(meta) = transfer_meta.remove(&req_id) else {
-                    continue;
-                };
-                let Some(ep) = endpoints.get_mut(meta.dst_rack.index()) else {
-                    continue;
-                };
-                if let Some((vm, _)) =
-                    ep.handle_abort(&mut cluster.placement, &cluster.deps, req_id)
-                {
-                    report.txn_aborted += 1;
-                    emit(sink, || Event::TxnAborted {
-                        req: req_id.0,
-                        vm: vm.index() as u64,
-                    });
-                    sink.counter("txn.aborted", 1);
-                }
-                let my_epoch = failover.view_of(meta.dst_rack);
-                net.send(
-                    t,
-                    meta.dst_rack,
-                    meta.src_rack,
-                    ShimMsg::Reject {
-                        req_id,
-                        reason: RejectReason::Expired,
-                        epoch: my_epoch,
-                    },
-                );
-            }
-            for c in &tick.completions {
-                let req_id = ReqId(c.id);
-                let Some(meta) = transfer_meta.remove(&req_id) else {
-                    continue;
-                };
-                let Some(ep) = endpoints.get_mut(meta.dst_rack.index()) else {
-                    continue;
-                };
-                // finalize the deferred commit under the epoch the
-                // COMMIT originally carried — fencing still applies if
-                // the destination's term moved on mid-transfer
-                let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
-                let reply = ep.handle_commit(req_id, meta.epoch);
-                if was_prepared && reply == TwoPhaseReply::Ack {
-                    report.txn_committed += 1;
-                    emit(sink, || Event::TxnCommitted {
-                        req: req_id.0,
-                        vm: meta.vm.index() as u64,
-                    });
-                    sink.counter("txn.committed", 1);
-                }
-                emit(sink, || Event::TransferCompleted {
-                    req: c.id,
-                    vm: c.vm,
-                    ticks: c.duration,
-                    bandwidth: c.achieved_bw,
-                });
-                sink.counter("transfer.completed", 1);
-                report.transfers_completed += 1;
-                report.transfer_durations.push(c.duration);
-                let my_epoch = failover.view_of(meta.dst_rack);
-                net.send(
-                    t,
-                    meta.dst_rack,
-                    meta.src_rack,
-                    ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
-                );
+        } else if let Some(o) = shim.zombies.remove(&req_id) {
+            // a late REJECT resolves the zombie: the VM definitively did
+            // not move, so it is safe to replan it elsewhere
+            shim.requeue(req_id, o.vm, reason, self.sink);
+            shim.gave_up = true;
+        }
+    }
+
+    /// Transfer progress: harvest pre-copies that streamed their last
+    /// byte and admit queued transfers into freed slots. Runs after
+    /// deliveries so a COMMIT landing this tick is already submitted,
+    /// and before lease expiry so a completing commit at the cap tick
+    /// beats the sweep, mirroring the delivery rule.
+    fn poll_transfers(&mut self) {
+        let Some(ts) = self.transfers.as_mut() else {
+            return;
+        };
+        let tick = ts.poll(self.t);
+        for s in &tick.started {
+            self.transfer_started(s);
+        }
+        for r in &tick.rerouted {
+            self.transfer_rerouted(r.id, r.vm, r.hops);
+        }
+        for r in &tick.retried {
+            emit(self.sink, || Event::TransferRetried {
+                req: r.id,
+                vm: r.vm,
+                attempt: r.attempt as u64,
+            });
+            self.sink.counter("transfer.retried", 1);
+        }
+        for r in &tick.resumed {
+            self.transfer_resumed(r);
+        }
+        for f in &tick.failed {
+            self.on_transfer_failed(f);
+        }
+        for c in &tick.completions {
+            self.on_transfer_completed(c);
+        }
+    }
+
+    /// A transfer's retry budget is exhausted: escalate to a clean 2PC
+    /// abort through the journal, and tell the source the migration
+    /// expired so it can replan the VM.
+    fn on_transfer_failed(&mut self, f: &sheriff_transfer::Failed) {
+        self.transfer_failed(f.id, f.vm, f.attempts as u64);
+        let req_id = ReqId(f.id);
+        let Some(meta) = self.transfer_meta.remove(&req_id) else {
+            return;
+        };
+        self.abort_at(meta.dst_rack, req_id);
+        let reject = ShimMsg::Reject {
+            req_id,
+            reason: RejectReason::Expired,
+            epoch: self.failover.view_of(meta.dst_rack),
+        };
+        self.net.send(self.t, meta.dst_rack, meta.src_rack, reject);
+    }
+
+    /// A pre-copy landed: finalize the deferred commit under the epoch
+    /// the COMMIT originally carried — fencing still applies if the
+    /// destination's term moved on mid-transfer — and ACK the source.
+    fn on_transfer_completed(&mut self, c: &sheriff_transfer::Completion) {
+        let req_id = ReqId(c.id);
+        let Some(meta) = self.transfer_meta.remove(&req_id) else {
+            return;
+        };
+        let Some(ep) = self.endpoints.get_mut(meta.dst_rack.index()) else {
+            return;
+        };
+        let was_prepared = ep.journal().state(req_id) == Some(TxnState::Prepared);
+        let reply = ep.handle_commit(req_id, meta.epoch);
+        if was_prepared && reply == TwoPhaseReply::Ack {
+            self.txn_committed(req_id, meta.vm);
+        }
+        emit(self.sink, || Event::TransferCompleted {
+            req: c.id,
+            vm: c.vm,
+            ticks: c.duration,
+            bandwidth: c.achieved_bw,
+        });
+        self.sink.counter("transfer.completed", 1);
+        self.report.transfers_completed += 1;
+        self.report.transfer_durations.push(c.duration);
+        let my_epoch = self.failover.view_of(meta.dst_rack);
+        self.net.send(
+            self.t,
+            meta.dst_rack,
+            meta.src_rack,
+            ShimEndpoint::reply_2pc_msg(req_id, reply, my_epoch),
+        );
+    }
+
+    /// Transfer-plane invariants, probed at every activation: no
+    /// streaming pre-copy may traverse a failed link, and every active
+    /// transfer must still hold its Prepared journal entry at the
+    /// destination. Each breach is flagged once.
+    fn audit_transfers(&mut self) {
+        let Some(ts) = self.transfers.as_ref() else {
+            return;
+        };
+        for (id, link) in ts.streaming_on_failed_links() {
+            if self.flagged_on_failed.insert((id, link)) {
+                self.transfer_audit
+                    .violations
+                    .push(AuditViolation::TransferOnFailedLink { req: id, link });
             }
         }
-
-        // phase 5c — transfer-plane invariants, probed at every
-        // activation: no streaming pre-copy may traverse a failed link,
-        // and every active transfer must still hold its Prepared journal
-        // entry at the destination. Each breach is flagged once.
-        if let Some(ts) = transfers.as_ref() {
-            for (id, link) in ts.streaming_on_failed_links() {
-                if flagged_on_failed.insert((id, link)) {
-                    transfer_audit
-                        .violations
-                        .push(AuditViolation::TransferOnFailedLink { req: id, link });
-                }
-            }
-            for id in ts.active_ids() {
-                let req_id = ReqId(id);
-                let prepared = transfer_meta.get(&req_id).is_some_and(|m| {
-                    endpoints
-                        .get(m.dst_rack.index())
-                        .is_some_and(|ep| ep.journal().state(req_id) == Some(TxnState::Prepared))
-                });
-                if !prepared && flagged_no_prepare.insert(id) {
-                    transfer_audit
-                        .violations
-                        .push(AuditViolation::TransferWithoutPrepare { req: id });
-                }
+        for id in ts.active_ids() {
+            let req_id = ReqId(id);
+            let prepared = self.transfer_meta.get(&req_id).is_some_and(|m| {
+                self.endpoints
+                    .get(m.dst_rack.index())
+                    .is_some_and(|ep| ep.journal().state(req_id) == Some(TxnState::Prepared))
+            });
+            if !prepared && self.flagged_no_prepare.insert(id) {
+                self.transfer_audit
+                    .violations
+                    .push(AuditViolation::TransferWithoutPrepare { req: id });
             }
         }
+    }
 
-        // phase 6 — lease expiry: a live destination unilaterally aborts
-        // prepares whose COMMIT never arrived (a commit delivered this
-        // same tick wins — deliveries were processed above). Crashed
-        // endpoints expire theirs during journal replay on recovery
-        // instead. The earliest pending lease always has a Lease wake.
-        for (r, endpoint) in endpoints.iter_mut().enumerate() {
-            let rack = RackId::from_index(r);
-            if down.contains(&rack) {
+    /// Lease expiry: endpoints abort prepares whose COMMIT never arrived
+    /// by `until` (a commit delivered this same tick wins — deliveries
+    /// run first). With `live_only`, crashed endpoints are skipped: they
+    /// expire theirs during journal replay on recovery instead. The
+    /// earliest pending lease always has a Lease wake.
+    fn expire_leases(&mut self, until: u64, live_only: bool) {
+        for r in 0..self.endpoints.len() {
+            if live_only && self.down.contains(&RackId::from_index(r)) {
                 continue;
             }
-            for (req, vm) in endpoint.expire_leases(&mut cluster.placement, &cluster.deps, t) {
-                report.txn_aborted += 1;
-                emit(sink, || Event::TxnAborted {
-                    req: req.0,
-                    vm: vm.index() as u64,
-                });
-                sink.counter("txn.aborted", 1);
+            let Some(ep) = self.endpoints.get_mut(r) else {
+                continue;
+            };
+            for (req, vm) in
+                ep.expire_leases(&mut self.cluster.placement, &self.cluster.deps, until)
+            {
+                self.txn_aborted(req, vm);
             }
         }
+    }
 
-        // phase 7 — source-shim actions, in rack order for determinism.
-        // Hosts absorbing an in-flight pre-copy (PREPARE reserved the VM
-        // there, so `host_of` points at the destination while the stream
-        // runs) take no additional arrivals this window: Eqn. 1 prices
-        // moves independently, which only holds across distinct moves.
-        let hot_hosts: BTreeSet<HostId> = transfers
+    /// Source-shim actions, in rack order for determinism. Hosts
+    /// absorbing an in-flight pre-copy (PREPARE reserved the VM there,
+    /// so `host_of` points at the destination while the stream runs)
+    /// take no additional arrivals this window: Eqn. 1 prices moves
+    /// independently, which only holds across distinct moves.
+    fn step_shims(&mut self) {
+        let hot_hosts: BTreeSet<HostId> = self
+            .transfers
             .as_ref()
             .map(|ts| {
+                let placement = &self.cluster.placement;
                 ts.in_flight_vms()
                     .into_iter()
                     .map(|v| VmId::from_index(v as usize))
-                    .filter(|vm| vm.index() < cluster.placement.vm_count())
-                    .map(|vm| cluster.placement.host_of(vm))
+                    .filter(|vm| vm.index() < placement.vm_count())
+                    .map(|vm| placement.host_of(vm))
                     .collect()
             })
             .unwrap_or_default();
-        for shim in &mut shims {
-            if shim.done || shim.down {
-                continue;
-            }
-            if !shim.started {
-                if t >= hello_window && t >= shim.resume_at {
-                    if shim.rounds_left > 0 {
-                        shim.started = true;
-                        fabric_plan_and_send(
-                            shim,
-                            cluster,
-                            metric,
-                            &sim,
-                            &mut net,
-                            t,
-                            cfg,
-                            failover,
-                            &hot_hosts,
-                            &mut report,
-                            sink,
-                        );
-                    } else if shim.zombies.is_empty() {
-                        shim.done = true;
-                    } else {
-                        // out of planning rounds but still owed verdicts
-                        shim.started = true;
-                    }
-                }
-                continue;
-            }
+        for i in 0..self.shims.len() {
+            self.step_shim(i, &hot_hosts);
+        }
+    }
 
-            // expire deadlines: retransmit with backoff, then give up and
-            // presume the destination dead
-            let expired: Vec<ReqId> = shim
-                .outstanding
-                .iter()
-                .filter(|(_, o)| o.deadline <= t)
-                .map(|(&id, _)| id)
-                .collect();
-            for req_id in expired {
-                report.timeouts += 1;
-                let attempts_left = match shim.outstanding.get_mut(&req_id) {
-                    Some(o) => {
-                        emit(sink, || Event::RequestTimeout {
-                            req: req_id.0,
-                            attempt: o.attempt as u64 + 1,
-                        });
-                        sink.counter("net.timeouts", 1);
-                        o.attempt + 1 < cfg.backoff.max_attempts
-                    }
-                    None => continue,
-                };
-                if attempts_left {
-                    let Some(o) = shim.outstanding.get_mut(&req_id) else {
-                        continue;
-                    };
-                    o.attempt += 1;
-                    o.deadline = t + cfg.backoff.delay(o.attempt, req_id);
-                    report.resends += 1;
-                    emit(sink, || Event::RequestResent {
-                        req: req_id.0,
-                        attempt: o.attempt as u64 + 1,
-                    });
-                    sink.counter("net.resends", 1);
-                    let my_epoch = failover.view_of(shim.st.rack);
-                    let msg = match o.phase {
-                        TxnPhase::Preparing => ShimMsg::Prepare {
-                            req_id,
-                            vm: o.vm,
-                            dest: o.dest,
-                            lease: o.lease,
-                            epoch: my_epoch,
-                        },
-                        TxnPhase::Committing => ShimMsg::Commit {
-                            req_id,
-                            epoch: my_epoch,
-                        },
-                    };
-                    let dest_rack = cluster.placement.rack_of_host(o.dest);
-                    net.send(t, shim.st.rack, dest_rack, msg);
-                } else {
-                    // give up: presume the destination dead — but a stale
-                    // copy of the request may still commit there, so the
-                    // VM's fate is unknown. Park it as a zombie and keep
-                    // listening for a late verdict within the patience
-                    // window; never replan a VM of unknown fate.
-                    let Some(mut o) = shim.outstanding.remove(&req_id) else {
-                        continue;
-                    };
-                    let dest_rack = cluster.placement.rack_of_host(o.dest);
-                    shim.liveness.presume_dead(dest_rack);
-                    if !shim.degraded {
-                        emit(sink, || Event::ShimDegraded {
-                            rack: shim.st.rack.index() as u64,
-                        });
-                    }
-                    shim.degraded = true;
-                    shim.st.excluded.insert((o.vm, o.dest));
-                    o.deadline = t + patience;
-                    shim.zombies.insert(req_id, o);
-                }
-            }
-
-            // zombies past their patience window stay unresolved; the
-            // report assembly settles them against ground truth. A
-            // best-effort ABORT lets the destination release a prepare
-            // early instead of waiting out its lease.
-            let expired: Vec<ReqId> = shim
-                .zombies
-                .iter()
-                .filter(|(_, o)| o.deadline <= t)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in expired {
-                let Some(o) = shim.zombies.remove(&id) else {
-                    continue;
-                };
-                let dest_rack = cluster.placement.rack_of_host(o.dest);
-                let epoch = failover.view_of(shim.st.rack);
-                net.send(
-                    t,
-                    shim.st.rack,
-                    dest_rack,
-                    ShimMsg::Abort { req_id: id, epoch },
-                );
-                shim.unresolved.push(o);
-            }
-
-            // batch resolved once every PREPARE has its vote: replan while
-            // the commits drain (their placement effect is already
-            // visible), or finish when truly idle
-            let preparing = shim
-                .outstanding
-                .values()
-                .any(|o| o.phase == TxnPhase::Preparing);
-            if !preparing {
-                let replan = !shim.st.pending.is_empty()
-                    && shim.rounds_left > 0
-                    && (shim.progressed || shim.gave_up);
-                if replan {
-                    fabric_plan_and_send(
-                        shim,
-                        cluster,
-                        metric,
-                        &sim,
-                        &mut net,
-                        t,
-                        cfg,
-                        failover,
-                        &hot_hosts,
-                        &mut report,
-                        sink,
-                    );
-                } else if shim.outstanding.is_empty() && shim.zombies.is_empty() {
+    /// One shim's turn: start planning once its gate opens, or expire
+    /// deadlines and zombies and then replan or finish.
+    fn step_shim(&mut self, i: usize, hot_hosts: &BTreeSet<HostId>) {
+        let t = self.t;
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        if shim.done || self.down.contains(&shim.st.rack) {
+            return;
+        }
+        if !shim.started {
+            if t >= self.cfg.hello_window && t >= shim.resume_at {
+                if shim.rounds_left > 0 {
+                    shim.started = true;
+                    self.plan_and_send(i, hot_hosts);
+                } else if shim.zombies.is_empty() {
                     shim.done = true;
+                } else {
+                    // out of planning rounds but still owed verdicts
+                    shim.started = true;
                 }
+            }
+            return;
+        }
+        self.expire_requests(i);
+        self.expire_zombies(i);
+        // batch resolved once every PREPARE has its vote: replan while
+        // the commits drain (their placement effect is already visible),
+        // or finish when truly idle
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        if shim
+            .outstanding
+            .values()
+            .any(|o| o.phase == TxnPhase::Preparing)
+        {
+            return;
+        }
+        if !shim.st.pending.is_empty() && shim.rounds_left > 0 && (shim.progressed || shim.gave_up)
+        {
+            self.plan_and_send(i, hot_hosts);
+        } else if shim.outstanding.is_empty() && shim.zombies.is_empty() {
+            shim.done = true;
+        }
+    }
+
+    /// Expire shim `i`'s request deadlines: retransmit with backoff, then
+    /// give up and presume the destination dead — but a stale copy of
+    /// the request may still commit there, so the VM's fate is unknown.
+    /// It is parked as a zombie that keeps listening for a late verdict
+    /// within the patience window; a VM of unknown fate is never
+    /// replanned.
+    fn expire_requests(&mut self, i: usize) {
+        let t = self.t;
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let expired: Vec<ReqId> = shim
+            .outstanding
+            .iter()
+            .filter(|(_, o)| o.deadline <= t)
+            .map(|(&id, _)| id)
+            .collect();
+        for req_id in expired {
+            self.report.timeouts += 1;
+            let Some(o) = shim.outstanding.get_mut(&req_id) else {
+                continue;
+            };
+            emit(self.sink, || Event::RequestTimeout {
+                req: req_id.0,
+                attempt: o.attempt as u64 + 1,
+            });
+            self.sink.counter("net.timeouts", 1);
+            if o.attempt + 1 < self.cfg.backoff.max_attempts {
+                o.attempt += 1;
+                o.deadline = t + self.cfg.backoff.delay(o.attempt, req_id);
+                self.report.resends += 1;
+                emit(self.sink, || Event::RequestResent {
+                    req: req_id.0,
+                    attempt: o.attempt as u64 + 1,
+                });
+                self.sink.counter("net.resends", 1);
+                let epoch = self.failover.view_of(shim.st.rack);
+                let msg = match o.phase {
+                    TxnPhase::Preparing => ShimMsg::Prepare {
+                        req_id,
+                        vm: o.vm,
+                        dest: o.dest,
+                        lease: o.lease,
+                        epoch,
+                    },
+                    TxnPhase::Committing => ShimMsg::Commit { req_id, epoch },
+                };
+                let dest_rack = self.cluster.placement.rack_of_host(o.dest);
+                self.net.send(t, shim.st.rack, dest_rack, msg);
+            } else if let Some(mut o) = shim.outstanding.remove(&req_id) {
+                shim.liveness
+                    .presume_dead(self.cluster.placement.rack_of_host(o.dest));
+                shim.degrade(self.sink);
+                shim.st.excluded.insert((o.vm, o.dest));
+                o.deadline = t + self.patience;
+                shim.zombies.insert(req_id, o);
             }
         }
+    }
 
-        // termination — the round ends when every source shim settled; a
-        // crashed shim only holds the round open while a recovery is
-        // still scheduled, and a scheduled heal holds it open while any
-        // parked shim still has work the heal would wake it for. Every
-        // predicate flip here lands on an activated tick (Recover and
-        // Heal are events; a partition *start* only delays settlement),
-        // so checking at activations only is exact.
-        let heal_pending = cfg
+    /// Zombies of shim `i` past their patience window stay unresolved;
+    /// the report assembly settles them against ground truth. A
+    /// best-effort ABORT lets the destination release a prepare early
+    /// instead of waiting out its lease.
+    fn expire_zombies(&mut self, i: usize) {
+        let t = self.t;
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        let expired: Vec<ReqId> = shim
+            .zombies
+            .iter()
+            .filter(|(_, o)| o.deadline <= t)
+            .map(|(&id, _)| id)
+            .collect();
+        for req_id in expired {
+            let Some(o) = shim.zombies.remove(&req_id) else {
+                continue;
+            };
+            let dest_rack = self.cluster.placement.rack_of_host(o.dest);
+            let epoch = self.failover.view_of(shim.st.rack);
+            self.net
+                .send(t, shim.st.rack, dest_rack, ShimMsg::Abort { req_id, epoch });
+            shim.unresolved.push(o);
+        }
+    }
+
+    /// One planning round for shim `i`: rebuild the slot list from live
+    /// racks (degradation ladder step 1; the own rack is always kept —
+    /// step 2), run the matching, and send a PREPARE per assignment.
+    fn plan_and_send(&mut self, i: usize, hot_hosts: &BTreeSet<HostId>) {
+        let now = self.t;
+        let Some(shim) = self.shims.get_mut(i) else {
+            return;
+        };
+        shim.rounds_left -= 1;
+        shim.progressed = false;
+        shim.gave_up = false;
+
+        let live_region: Vec<RackId> = shim
+            .region
+            .iter()
+            .copied()
+            .filter(|&r| shim.liveness.alive(r, now))
+            .collect();
+        // an active partition cuts part of the region off *right now*:
+        // plan around it immediately (degraded local handling, own rack
+        // always kept) instead of waiting for the liveness deadline to
+        // notice
+        let reachable: Vec<RackId> = live_region
+            .iter()
+            .copied()
+            .filter(|&r| !self.net.cut(now, shim.st.rack, r))
+            .collect();
+        // degraded-mode accounting keys off the ground-truth cut over the
+        // whole region: liveness may have aged the far side out already
+        // (its beacons stopped arriving the moment the cut opened), but
+        // the shim is still planning around a partition, not a crash
+        let cut_off = shim
+            .region
+            .iter()
+            .any(|&r| self.net.cut(now, shim.st.rack, r));
+        if cut_off && !shim.part_degraded {
+            shim.part_degraded = true;
+            self.report.partition_degraded += 1;
+            self.sink.counter("region.partition_degraded", 1);
+        }
+        if reachable.len() < shim.region.len() {
+            shim.degrade(self.sink);
+        }
+        shim.st.slots = region_slots(&self.cluster.dcn.inventory, &reachable, shim.st.rack);
+
+        let pending = std::mem::take(&mut shim.st.pending);
+        let (rows, space) = plan_proposals(
+            &self.cluster.placement,
+            &self.cluster.deps,
+            self.metric,
+            &self.cluster.sim,
+            &pending,
+            &shim.st.slots,
+            &shim.st.excluded,
+            hot_hosts,
+        );
+        shim.st.plan.search_space += space;
+        shim.st.pending = unassigned(&pending, &rows);
+        emit(self.sink, || Event::PlanComputed {
+            rack: shim.st.rack.index() as u64,
+            proposals: (rows.len() - shim.st.pending.len()) as u64,
+            unassigned: shim.st.pending.len() as u64,
+            search_space: space as u64,
+        });
+
+        for p in rows.into_iter().flatten() {
+            let req_id = ReqId::new(shim.st.rack, shim.st.seq);
+            shim.st.seq += 1;
+            emit(self.sink, || Event::RequestSent {
+                req: req_id.0,
+                vm: p.vm.index() as u64,
+                dest_host: p.dest.index() as u64,
+                attempt: 1,
+            });
+            let from = self.cluster.placement.host_of(p.vm);
+            let dest_rack = self.cluster.placement.rack_of_host(p.dest);
+            let lease = now + self.cfg.prepare_lease;
+            shim.outstanding.insert(
+                req_id,
+                Outstanding {
+                    vm: p.vm,
+                    from,
+                    dest: p.dest,
+                    cost: p.cost,
+                    attempt: 0,
+                    deadline: now + self.cfg.backoff.delay(0, req_id),
+                    phase: TxnPhase::Preparing,
+                    lease,
+                },
+            );
+            let prepare = ShimMsg::Prepare {
+                req_id,
+                vm: p.vm,
+                dest: p.dest,
+                lease,
+                epoch: self.failover.view_of(shim.st.rack),
+            };
+            self.net.send(now, shim.st.rack, dest_rack, prepare);
+        }
+    }
+
+    // ---- termination, derived wakes, settlement -------------------------
+
+    /// The round ends when every source shim settled; a crashed shim
+    /// only holds the round open while a recovery is still scheduled,
+    /// and a scheduled heal holds it open while any parked shim still
+    /// has work the heal would wake it for. Every predicate flip lands
+    /// on an activated tick (Recover and Heal are events; a partition
+    /// *start* only delays settlement), so checking at activations only
+    /// is exact.
+    fn settled(&self) -> bool {
+        let t = self.t;
+        let recovers = |rack: RackId| {
+            self.schedule
+                .iter()
+                .any(|w| w.rack == rack && w.recover_at.is_some_and(|r| r > t))
+        };
+        let heal_pending = self
+            .cfg
             .partitions
             .iter()
             .any(|p| p.start_at <= t && p.heal_at.is_some_and(|h| h > t));
-        let all_settled = shims.iter().all(|s| {
-            s.done
-                || (s.down
-                    && !schedule
-                        .iter()
-                        .any(|w| w.rack == s.st.rack && w.recover_at.is_some_and(|r| r > t)))
-        }) && !(heal_pending
-            && shims
-                .iter()
-                .any(|s| s.done && !s.down && !s.st.pending.is_empty()))
+        let parked =
+            |s: &FabricShim| s.done && !self.down.contains(&s.st.rack) && !s.st.pending.is_empty();
+        self.shims
+            .iter()
+            .all(|s| s.done || (self.down.contains(&s.st.rack) && !recovers(s.st.rack)))
+            && !(heal_pending && self.shims.iter().any(parked))
             // a streaming or queued pre-copy holds the round open: its
             // completion still has a commit, an ACK and a Move to land
-            && transfers.as_ref().is_none_or(|ts| ts.is_idle());
-        if all_settled {
-            break;
-        }
+            && self.transfers.as_ref().is_none_or(|ts| ts.is_idle())
+    }
 
-        // derived activations: make sure every tick at which any phase
-        // has due work is on the agenda (the activation-time superset
-        // invariant). All of these recompute each activation; `seen`
-        // dedupes repeats.
-        if let Some(d) = net.next_delivery() {
-            schedule_wake(&mut agenda, &mut seen, d.max(t + 1), WakeReason::Delivery);
+    /// Derived activations: make sure every tick at which any phase has
+    /// due work is on the agenda (the activation-time superset
+    /// invariant). All of these recompute each activation; the agenda
+    /// dedupes repeats.
+    fn schedule_wakes(&mut self) {
+        let t = self.t;
+        if let Some(d) = self.net.next_delivery() {
+            self.agenda.wake(d.max(t + 1), WakeReason::Delivery);
         }
-        if let Some(abs) = failover.detector.next_transition_after(failover.clock + t) {
-            let local = abs.saturating_sub(failover.clock);
-            schedule_wake(
-                &mut agenda,
-                &mut seen,
-                local.max(t + 1),
-                WakeReason::Detector,
-            );
+        let clock = self.failover.clock;
+        if let Some(abs) = self.failover.detector.next_transition_after(clock + t) {
+            let local = abs.saturating_sub(clock);
+            self.agenda.wake(local.max(t + 1), WakeReason::Detector);
         }
-        let next_lease = endpoints
+        let next_lease = self
+            .endpoints
             .iter()
             .enumerate()
-            .filter(|(r, _)| !down.contains(&RackId::from_index(*r)))
+            .filter(|(r, _)| !self.down.contains(&RackId::from_index(*r)))
             .filter_map(|(_, e)| e.next_lease())
             .min();
         if let Some(l) = next_lease {
-            schedule_wake(&mut agenda, &mut seen, l.max(t + 1), WakeReason::Lease);
+            self.agenda.wake(l.max(t + 1), WakeReason::Lease);
         }
-        if let Some(ts) = transfers.as_ref() {
+        if let Some(ts) = self.transfers.as_ref() {
             if let Some(done_at) = ts.next_event_time() {
-                schedule_wake(
-                    &mut agenda,
-                    &mut seen,
-                    done_at.max(t + 1),
-                    WakeReason::Transfer,
-                );
+                self.agenda.wake(done_at.max(t + 1), WakeReason::Transfer);
             } else if !ts.is_idle() {
                 // nothing running but transfers are queued (e.g. the
                 // running set was just cancelled): poll next tick so
                 // admission can promote them
-                schedule_wake(&mut agenda, &mut seen, t + 1, WakeReason::Transfer);
+                self.agenda.wake(t + 1, WakeReason::Transfer);
             }
         }
-        for shim in &shims {
-            if shim.done || shim.down || shim.started {
+        for shim in &self.shims {
+            if shim.done || shim.started || self.down.contains(&shim.st.rack) {
                 continue;
             }
-            let gate = hello_window.max(shim.resume_at).max(t + 1);
-            schedule_wake(&mut agenda, &mut seen, gate, WakeReason::ShimStart);
+            let gate = self.cfg.hello_window.max(shim.resume_at).max(t + 1);
+            self.agenda.wake(gate, WakeReason::ShimStart);
         }
-        // the timeout wake is the one cancellable event: deadlines move
-        // every resend, so a single wake tracks the earliest one and is
-        // cancelled (a no-op if it already fired) whenever a nearer
-        // deadline appears
-        let next_deadline = shims
+        let next_deadline = self
+            .shims
             .iter()
-            .filter(|s| !s.done && !s.down)
+            .filter(|s| !s.done && !self.down.contains(&s.st.rack))
             .flat_map(|s| {
                 s.outstanding
                     .values()
@@ -1958,279 +2147,116 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
             })
             .min();
         if let Some(d) = next_deadline {
-            let d = d.max(t + 1);
-            match timeout_wake {
-                Some((cur, _)) if d >= cur => {}
-                prev => {
-                    if let Some((_, id)) = prev {
-                        agenda.cancel(id);
-                    }
-                    timeout_wake = if seen.contains(&d) {
-                        None
-                    } else {
-                        Some((
-                            d,
-                            agenda.schedule_at(
-                                VirtualTime::new(d),
-                                WAKE_ACTOR,
-                                FabricEvent::Wake(WakeReason::Timeout),
-                            ),
-                        ))
-                    };
+            self.agenda.wake_timeout(d.max(t + 1));
+        }
+    }
+
+    /// Close the round: abort every prepare still open, audit, settle
+    /// unknown fates against ground truth, and assemble the report.
+    fn finish(mut self) -> DistributedReport {
+        // no transaction outlives the round: sweep every journal and
+        // abort whatever is still `Prepared` (sources that walked away,
+        // schedules that never recovered, the tick cap). Must happen
+        // before the ground-truth settlement below so a half-done
+        // prepare can't be mistaken for a committed move.
+        self.expire_leases(u64::MAX, false);
+
+        // no VM may be managed by two shims at once: across takeovers,
+        // partitions, and heals the pending / in-flight / unknown-fate
+        // sets of different shims must stay disjoint (audited before
+        // settlement collapses them against ground truth)
+        let manager_audit = audit_managers(
+            self.shims
+                .iter()
+                .map(|s| (s.st.rack, s.managed().collect::<Vec<_>>())),
+        );
+
+        // settle unknown fates against ground truth: the simulator
+        // (unlike the shims) can see whether an unacknowledged request
+        // actually committed at its destination. Requests cut off by the
+        // tick cap are settled the same way.
+        let placement = &self.cluster.placement;
+        for shim in &mut self.shims {
+            let leftovers: Vec<Outstanding> = shim
+                .unresolved
+                .drain(..)
+                .chain(std::mem::take(&mut shim.outstanding).into_values())
+                .chain(std::mem::take(&mut shim.zombies).into_values())
+                .collect();
+            for o in leftovers {
+                if placement.host_of(o.vm) == o.dest {
+                    shim.commit(&o, self.sink);
+                } else {
+                    emit(self.sink, || Event::MigrationFailed {
+                        vm: o.vm.index() as u64,
+                        rack: shim.st.rack.index() as u64,
+                    });
+                    self.sink.counter("migrations.failed", 1);
+                    shim.st.pending.push(o.vm);
                 }
             }
         }
 
-        // hop to the next activation; past the tick cap the round is
-        // abandoned exactly as the per-tick loop abandoned it
-        match agenda.next_time() {
-            Some(nt) if nt.get() <= cfg.max_ticks => t = nt.get(),
-            _ => {
-                t = cfg.max_ticks.saturating_add(1);
-                break;
+        let cfg = self.cfg;
+        let sink = self.sink;
+        let net = &self.net;
+        let mut report = self.report;
+        report.ticks = self.t.min(cfg.max_ticks);
+        // the detector's clock spans rounds: silence keeps accruing
+        // across round boundaries, so a crashed shim is eventually
+        // declared Dead even when every individual round is short
+        self.failover.clock += report.ticks + 1;
+        report.drops = net.stats.dropped;
+        report.dedup_hits = self.endpoints.iter().map(|e| e.dedup_hits()).sum();
+        if let Some(ts) = &self.transfers {
+            report.transfer_reroutes = ts.reroutes();
+            report.transfer_queue_delays = ts.queue_delays();
+            report.transfer_peak_sharing = ts.peak_link_sharing();
+            report.transfer_stalls = ts.stalls();
+            report.transfer_retries = ts.retries();
+            report.transfer_failures = ts.failures() + self.rack_failed_transfers;
+            report.resumed_bytes_saved = ts.resumed_bytes_saved();
+            // stall-duration distribution: total ticks spent stalled (the
+            // per-bucket shape stays queryable on the scheduler's
+            // histogram)
+            let hist = ts.stall_histogram();
+            if hist.count() > 0 {
+                sink.counter("transfer.stalled_ticks", hist.sum() as u64);
             }
         }
-    }
-
-    // no transaction outlives the round: sweep every journal and abort
-    // whatever is still `Prepared` (sources that walked away, schedules
-    // that never recovered, the tick cap). Must happen before the
-    // ground-truth settlement below so a half-done prepare can't be
-    // mistaken for a committed move.
-    for ep in &mut endpoints {
-        for (req, vm) in ep.expire_leases(&mut cluster.placement, &cluster.deps, u64::MAX) {
-            report.txn_aborted += 1;
-            emit(sink, || Event::TxnAborted {
-                req: req.0,
-                vm: vm.index() as u64,
-            });
-            sink.counter("txn.aborted", 1);
-        }
-    }
-
-    // no VM may be managed by two shims at once: across takeovers,
-    // partitions, and heals the pending / in-flight / unknown-fate sets
-    // of different shims must stay disjoint (audited before settlement
-    // collapses them against ground truth)
-    let manager_audit = audit_managers(shims.iter().map(|s| {
-        (
-            s.st.rack,
-            s.st.pending
-                .iter()
-                .copied()
-                .chain(s.outstanding.values().map(|o| o.vm))
-                .chain(s.zombies.values().map(|o| o.vm))
-                .chain(s.unresolved.iter().map(|o| o.vm))
-                .collect::<Vec<_>>(),
-        )
-    }));
-
-    // settle unknown fates against ground truth: the simulator (unlike
-    // the shims) can see whether an unacknowledged request actually
-    // committed at its destination. Requests cut off by the tick cap are
-    // settled the same way.
-    for shim in &mut shims {
-        let leftovers: Vec<Outstanding> = shim
-            .unresolved
-            .drain(..)
-            .chain(std::mem::take(&mut shim.outstanding).into_values())
-            .chain(std::mem::take(&mut shim.zombies).into_values())
-            .collect();
-        for o in leftovers {
-            if cluster.placement.host_of(o.vm) == o.dest {
-                emit(sink, || Event::MigrationCommitted {
-                    vm: o.vm.index() as u64,
-                    from_host: o.from.index() as u64,
-                    to_host: o.dest.index() as u64,
-                    cost: o.cost,
-                });
-                sink.counter("migrations.committed", 1);
-                shim.st.plan.moves.push(Move {
-                    vm: o.vm,
-                    from: o.from,
-                    to: o.dest,
-                    cost: o.cost,
-                });
-                shim.st.plan.total_cost += o.cost;
-            } else {
-                emit(sink, || Event::MigrationFailed {
-                    vm: o.vm.index() as u64,
-                    rack: shim.st.rack.index() as u64,
-                });
-                sink.counter("migrations.failed", 1);
-                shim.st.pending.push(o.vm);
+        sink.counter("net.sent", net.stats.sent as u64);
+        sink.counter("net.delivered", net.stats.delivered as u64);
+        sink.counter("net.dropped", net.stats.dropped as u64);
+        sink.counter("net.duplicated", net.stats.duplicated as u64);
+        sink.counter("net.reordered", net.stats.reordered as u64);
+        sink.counter("net.blackholed", net.stats.blackholed as u64);
+        sink.counter("net.partitioned", net.stats.partitioned as u64);
+        sink.counter("net.dedup_hits", report.dedup_hits as u64);
+        for shim in self.shims {
+            let mut plan = shim.st.plan;
+            let mut pending = shim.st.pending;
+            pending.sort_unstable();
+            pending.dedup();
+            plan.unplaced.extend(pending);
+            report.plan.absorb(plan);
+            report.retries += shim.st.retries;
+            if shim.degraded {
+                report.degraded_shims += 1;
             }
         }
-    }
-
-    report.ticks = t.min(cfg.max_ticks);
-    // the detector's clock spans rounds: silence keeps accruing across
-    // round boundaries, so a crashed shim is eventually declared Dead
-    // even when every individual round is short
-    failover.clock += report.ticks + 1;
-    report.drops = net.stats.dropped;
-    report.dedup_hits = endpoints.iter().map(|e| e.dedup_hits()).sum();
-    if let Some(ts) = &transfers {
-        report.transfer_reroutes = ts.reroutes();
-        report.transfer_queue_delays = ts.queue_delays();
-        report.transfer_peak_sharing = ts.peak_link_sharing();
-        report.transfer_stalls = ts.stalls();
-        report.transfer_retries = ts.retries();
-        report.transfer_failures = ts.failures() + rack_failed_transfers;
-        report.resumed_bytes_saved = ts.resumed_bytes_saved();
-        // stall-duration distribution: total ticks spent stalled (the
-        // per-bucket shape stays queryable on the scheduler's histogram)
-        let hist = ts.stall_histogram();
-        if hist.count() > 0 {
-            sink.counter("transfer.stalled_ticks", hist.sum() as u64);
-        }
-    }
-    sink.counter("net.sent", net.stats.sent as u64);
-    sink.counter("net.delivered", net.stats.delivered as u64);
-    sink.counter("net.dropped", net.stats.dropped as u64);
-    sink.counter("net.duplicated", net.stats.duplicated as u64);
-    sink.counter("net.reordered", net.stats.reordered as u64);
-    sink.counter("net.blackholed", net.stats.blackholed as u64);
-    sink.counter("net.partitioned", net.stats.partitioned as u64);
-    sink.counter("net.dedup_hits", report.dedup_hits as u64);
-    for shim in shims {
-        let mut plan = shim.st.plan;
-        let mut pending = shim.st.pending;
-        pending.sort_unstable();
-        pending.dedup();
-        plan.unplaced.extend(pending);
-        report.plan.absorb(plan);
-        report.retries += shim.st.retries;
-        if shim.degraded {
-            report.degraded_shims += 1;
-        }
-    }
-    report.audit = audit_placement(&cluster.placement, &cluster.deps);
-    report.audit.merge(manager_audit);
-    report.audit.merge(transfer_audit);
-    report.audit.merge(audit_moves(
-        &cluster.placement,
-        report.plan.moves.iter().map(|m| (m.vm, m.to)),
-    ));
-    report.audit.merge(audit_journals(
-        &cluster.placement,
-        endpoints.iter().map(|e| e.journal()),
-    ));
-    report
-}
-
-/// One fabric planning round: rebuild the slot list from live racks
-/// (degradation ladder step 1; the own rack is always kept — step 2),
-/// run the matching, and send a REQUEST per assignment.
-#[allow(clippy::too_many_arguments)]
-fn fabric_plan_and_send<S: EventSink + ?Sized>(
-    shim: &mut FabricShim,
-    cluster: &Cluster,
-    metric: &RackMetric,
-    sim: &SimConfig,
-    net: &mut SimNet,
-    now: u64,
-    cfg: &FabricConfig,
-    failover: &RegionFailover,
-    hot_hosts: &BTreeSet<HostId>,
-    report: &mut DistributedReport,
-    sink: &mut S,
-) {
-    shim.rounds_left -= 1;
-    shim.progressed = false;
-    shim.gave_up = false;
-
-    let live_region: Vec<RackId> = shim
-        .region
-        .iter()
-        .copied()
-        .filter(|&r| shim.liveness.alive(r, now))
-        .collect();
-    // an active partition cuts part of the region off *right now*: plan
-    // around it immediately (degraded local handling, own rack always
-    // kept) instead of waiting for the liveness deadline to notice
-    let reachable: Vec<RackId> = live_region
-        .iter()
-        .copied()
-        .filter(|&r| !net.cut(now, shim.st.rack, r))
-        .collect();
-    // degraded-mode accounting keys off the ground-truth cut over the
-    // whole region: liveness may have aged the far side out already (its
-    // beacons stopped arriving the moment the cut opened), but the shim
-    // is still planning around a partition, not a crash
-    let cut_off = shim.region.iter().any(|&r| net.cut(now, shim.st.rack, r));
-    if cut_off && !shim.part_degraded {
-        shim.part_degraded = true;
-        report.partition_degraded += 1;
-        sink.counter("region.partition_degraded", 1);
-    }
-    if reachable.len() < shim.region.len() {
-        if !shim.degraded {
-            emit(sink, || Event::ShimDegraded {
-                rack: shim.st.rack.index() as u64,
-            });
-        }
-        shim.degraded = true;
-    }
-    shim.st.slots = region_slots(&cluster.dcn.inventory, &reachable, shim.st.rack);
-
-    let pending = std::mem::take(&mut shim.st.pending);
-    let (rows, space) = plan_proposals(
-        &cluster.placement,
-        &cluster.deps,
-        metric,
-        sim,
-        &pending,
-        &shim.st.slots,
-        &shim.st.excluded,
-        hot_hosts,
-    );
-    shim.st.plan.search_space += space;
-    shim.st.pending = unassigned(&pending, &rows);
-    emit(sink, || Event::PlanComputed {
-        rack: shim.st.rack.index() as u64,
-        proposals: (rows.len() - shim.st.pending.len()) as u64,
-        unassigned: shim.st.pending.len() as u64,
-        search_space: space as u64,
-    });
-
-    for p in rows.into_iter().flatten() {
-        let req_id = ReqId::new(shim.st.rack, shim.st.seq);
-        shim.st.seq += 1;
-        emit(sink, || Event::RequestSent {
-            req: req_id.0,
-            vm: p.vm.index() as u64,
-            dest_host: p.dest.index() as u64,
-            attempt: 1,
-        });
-        let from = cluster.placement.host_of(p.vm);
-        let dest_rack = cluster.placement.rack_of_host(p.dest);
-        let lease = now + cfg.prepare_lease;
-        shim.outstanding.insert(
-            req_id,
-            Outstanding {
-                vm: p.vm,
-                from,
-                dest: p.dest,
-                cost: p.cost,
-                attempt: 0,
-                deadline: now + cfg.backoff.delay(0, req_id),
-                phase: TxnPhase::Preparing,
-                lease,
-            },
-        );
-        net.send(
-            now,
-            shim.st.rack,
-            dest_rack,
-            ShimMsg::Prepare {
-                req_id,
-                vm: p.vm,
-                dest: p.dest,
-                lease,
-                epoch: failover.view_of(shim.st.rack),
-            },
-        );
+        let placement = &self.cluster.placement;
+        report.audit = audit_placement(placement, &self.cluster.deps);
+        report.audit.merge(manager_audit);
+        report.audit.merge(self.transfer_audit);
+        report.audit.merge(audit_moves(
+            placement,
+            report.plan.moves.iter().map(|m| (m.vm, m.to)),
+        ));
+        report.audit.merge(audit_journals(
+            placement,
+            self.endpoints.iter().map(|e| e.journal()),
+        ));
+        report
     }
 }
 

@@ -343,7 +343,7 @@ impl FabricRuntime {
     /// Runtime for `cfg`, with the failure detector's thresholds derived
     /// from the config's heartbeat period and liveness deadline.
     pub fn with_config(cfg: FabricConfig) -> Self {
-        let failover = RegionFailover::new(cfg.heartbeat_every().max(1), cfg.liveness_deadline);
+        let failover = cfg.failover_state();
         Self { cfg, failover }
     }
 }

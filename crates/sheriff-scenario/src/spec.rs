@@ -1668,4 +1668,35 @@ mod tests {
             "{err:?}"
         );
     }
+
+    #[test]
+    fn hostile_delay_max_in_channel_phase_is_an_error() {
+        // a delay this large used to pass validation and then overflow
+        // the fabric's derived tick sums (hello window, reply patience)
+        let spec = |delay_max: u64| {
+            ScenarioSpec::parse_str(&format!(
+                r#"
+                name = "x"
+                rounds = 2
+                [topology]
+                kind = "fat_tree"
+                pods = 4
+                [runtime]
+                kind = "fabric"
+                [[channel_phase]]
+                round = 1
+                drop = 0.1
+                delay_min = 1
+                delay_max = {delay_max}
+                "#
+            ))
+        };
+        let err = spec(i64::MAX as u64).unwrap_err();
+        assert!(
+            matches!(err, SheriffError::InvalidDelayWindow { .. }),
+            "{err:?}"
+        );
+        assert!(spec(u32::MAX as u64 + 1).is_err());
+        assert!(spec(u32::MAX as u64).is_ok());
+    }
 }
