@@ -1,12 +1,12 @@
 //! Result containers and pretty-printing for the experiment harness.
 
-use serde::Serialize;
+use sheriff_obs::push_json_str;
 use std::io::Write;
 use std::path::Path;
 
 /// A generic experiment result: named columns of numbers plus free-form
 /// notes, printable as an aligned table and serializable to JSON.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Experiment id (e.g. "fig11").
     pub id: String,
@@ -79,25 +79,16 @@ impl Table {
         f.write_all(self.to_json_pretty().as_bytes())
     }
 
-    /// Hand-rolled serialization: the offline `serde_json` polyfill cannot
-    /// derive real output, and the shape is simple enough to emit directly.
+    /// Hand-rolled serialization: the shape is simple enough to emit
+    /// directly.
     fn to_json_pretty(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
+        fn push_strs(out: &mut String, items: &[String]) {
+            for (i, s) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
                 }
+                push_json_str(out, s);
             }
-            out.push('"');
-            out
         }
         fn num(v: f64) -> String {
             if v.is_finite() {
@@ -106,7 +97,6 @@ impl Table {
                 "null".to_string()
             }
         }
-        let columns: Vec<String> = self.columns.iter().map(|c| esc(c)).collect();
         let rows: Vec<String> = self
             .rows
             .iter()
@@ -117,15 +107,18 @@ impl Table {
                 )
             })
             .collect();
-        let notes: Vec<String> = self.notes.iter().map(|n| esc(n)).collect();
-        format!(
-            "{{\n  \"id\": {},\n  \"title\": {},\n  \"columns\": [{}],\n  \"rows\": [{}],\n  \"notes\": [{}]\n}}\n",
-            esc(&self.id),
-            esc(&self.title),
-            columns.join(", "),
-            rows.join(", "),
-            notes.join(", ")
-        )
+        let mut out = String::from("{\n  \"id\": ");
+        push_json_str(&mut out, &self.id);
+        out.push_str(",\n  \"title\": ");
+        push_json_str(&mut out, &self.title);
+        out.push_str(",\n  \"columns\": [");
+        push_strs(&mut out, &self.columns);
+        out.push_str("],\n  \"rows\": [");
+        out.push_str(&rows.join(", "));
+        out.push_str("],\n  \"notes\": [");
+        push_strs(&mut out, &self.notes);
+        out.push_str("]\n}\n");
+        out
     }
 }
 

@@ -39,7 +39,6 @@ pub mod protocol;
 pub mod request;
 pub mod reroute;
 pub mod runtime;
-pub mod sharded;
 pub mod shim;
 pub mod strategy;
 pub mod system;
@@ -75,9 +74,7 @@ pub use request::{request_migration, RequestOutcome};
 pub use reroute::{flow_reroute, flow_reroute_balanced, RerouteReport};
 pub use runtime::{
     CentralizedRuntime, DistributedRuntime, FabricRuntime, RoundOutcome, RunCtx, Runtime,
-    ShardedRuntime,
 };
-pub use sharded::{sharded_round_obs, ShardedReport};
 pub use sheriff_transfer::{RouteStrategy, TransferConfig, TransferScheduler};
 pub use shim::{RoundReport, Sheriff};
 pub use strategy::{run_policy, AlertPolicy, StrategyOutcome};

@@ -1,16 +1,15 @@
-//! One trait over all four management loops.
+//! One trait over all three management loops.
 //!
-//! The repository grew four ways to run one management round — the
+//! The repository grew three ways to run one management round — the
 //! centralized baseline of Sec. VI-B, the shared-lock threaded runtime,
-//! the sharded message-passing runtime, and the virtual-time fabric
-//! runtime — each with its own free function and argument list. The
-//! [`Runtime`] trait unifies them behind `step(&mut self, ctx)` so
-//! experiments, benches and the bakeoff examples can iterate over
-//! `Box<dyn Runtime>` values instead of matching on names, and every
-//! runtime reports through the same [`RoundOutcome`] and the same
-//! [`EventSink`].
+//! and the virtual-time fabric runtime — each with its own free function
+//! and argument list. The [`Runtime`] trait unifies them behind
+//! `step(&mut self, ctx)` so experiments, benches and the bakeoff
+//! examples can iterate over `Box<dyn Runtime>` values instead of
+//! matching on names, and every runtime reports through the same
+//! [`RoundOutcome`] and the same [`EventSink`].
 //!
-//! All four plan through the same kernel: victims come from
+//! All three plan through the same kernel: victims come from
 //! `priority::select_victims` (Alg. 1/2) and destinations from
 //! `vmmigration::plan_proposals` (Alg. 3). They differ only in how the
 //! resulting proposals are negotiated and committed.
@@ -21,7 +20,6 @@ use crate::distributed::{distributed_round_obs, DistributedReport};
 use crate::fabric::{fabric_round_failover_obs, FabricConfig};
 use crate::failure::RegionFailover;
 use crate::priority::{alert_lookup, select_victims};
-use crate::sharded::{sharded_round_obs, ShardedReport};
 use crate::vmmigration::{MigrationContext, MigrationPlan};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, RackMetric};
@@ -49,7 +47,7 @@ pub struct RunCtx<'a> {
     pub sink: &'a mut dyn EventSink,
 }
 
-/// What one [`Runtime::step`] did, across all four runtimes. Fields a
+/// What one [`Runtime::step`] did, across all three runtimes. Fields a
 /// runtime does not track (e.g. `ticks` outside the fabric) stay zero.
 #[derive(Debug, Clone, Default)]
 pub struct RoundOutcome {
@@ -165,18 +163,6 @@ impl From<DistributedReport> for RoundOutcome {
     }
 }
 
-impl From<ShardedReport> for RoundOutcome {
-    fn from(r: ShardedReport) -> Self {
-        let mut plan = r.plan;
-        plan.rejected += r.rejected;
-        Self {
-            plan,
-            shims: r.shims,
-            ..Self::default()
-        }
-    }
-}
-
 /// One management loop: given this period's alerts, mutate the cluster's
 /// placement and report what happened.
 pub trait Runtime {
@@ -287,35 +273,6 @@ impl Runtime for DistributedRuntime {
     }
 }
 
-/// The sharded message-passing runtime behind the [`Runtime`] trait:
-/// per-rack agent threads own their capacity shards; planners negotiate
-/// over channels.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedRuntime;
-
-impl Runtime for ShardedRuntime {
-    fn name(&self) -> &'static str {
-        "sharded"
-    }
-
-    fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
-        let mut out: RoundOutcome = sharded_round_obs(
-            ctx.cluster,
-            ctx.metric,
-            ctx.alerts,
-            ctx.alert_values,
-            &mut *ctx.sink,
-        )
-        .into();
-        out.audit = audit_placement(&ctx.cluster.placement, &ctx.cluster.deps);
-        out.audit.merge(audit_moves(
-            &ctx.cluster.placement,
-            out.plan.moves.iter().map(|m| (m.vm, m.to)),
-        ));
-        out
-    }
-}
-
 /// The virtual-time fabric runtime behind the [`Runtime`] trait:
 /// REQUEST/ACK/REJECT over a seeded faulty channel with timeouts,
 /// backoff, dedup and heartbeat liveness, plus persistent
@@ -401,7 +358,6 @@ mod tests {
         let runtimes: Vec<Box<dyn Runtime>> = vec![
             Box::new(CentralizedRuntime::default()),
             Box::new(DistributedRuntime::default()),
-            Box::new(ShardedRuntime),
             Box::new(FabricRuntime::default()),
         ];
         for mut rt in runtimes {

@@ -15,7 +15,7 @@ use dcn_topology::fattree::{self, FatTreeConfig};
 use dcn_topology::{RackId, VmId};
 use sheriff_core::{
     drain_rack, CentralizedRuntime, DistributedRuntime, MigrationContext, MigrationPlan, RunCtx,
-    Runtime, ShardedRuntime, Sheriff, SystemBuilder,
+    Runtime, Sheriff, SystemBuilder,
 };
 use sheriff_obs::RingRecorder;
 
@@ -146,33 +146,6 @@ fn distributed_digest() -> u64 {
     runtime_digest(&mut DistributedRuntime::default(), 42, 3.5)
 }
 
-/// The sharded runtime with one alerted rack: a single planner thread,
-/// so the REQUEST arrival order at the rack agents cannot race.
-fn sharded_digest() -> u64 {
-    let mut c = cluster(43, 3.5);
-    let metric = RackMetric::build(&c.dcn, &c.sim);
-    let mut rec = RingRecorder::new(1 << 16);
-    let mut trace = Trace::default();
-    for t in 0..3 {
-        let all = alerts(&c, 0.5, t);
-        let rack = all[0].rack;
-        let alerts: Vec<Alert> = all.into_iter().filter(|a| a.rack == rack).collect();
-        let values = alert_values(&c);
-        let out = ShardedRuntime.step(&mut RunCtx {
-            cluster: &mut c,
-            metric: &metric,
-            alerts: &alerts,
-            alert_values: &values,
-            sink: &mut rec,
-        });
-        trace.plan(&out.plan);
-        trace.0.push_str(&format!("r {} {};", out.shims, out.audit));
-    }
-    trace.recorder(&rec);
-    trace.placement(&c);
-    trace.fnv1a()
-}
-
 /// The assembled system (`System::step` → `pre_alert_management` →
 /// VMMIGRATION) with workloads and cross-rack flows, plus the same path
 /// through `Sheriff::round`, whose report carries the merged plan.
@@ -266,7 +239,6 @@ fn drain_digest() -> u64 {
 fn print_runtime_digests() {
     println!("centralized: {:#018x}", centralized_digest());
     println!("distributed: {:#018x}", distributed_digest());
-    println!("sharded:     {:#018x}", sharded_digest());
     println!("system:      {:#018x}", system_digest());
     println!("drain:       {:#018x}", drain_digest());
 }
@@ -279,11 +251,6 @@ fn centralized_runtime_reproduces_pinned_digest() {
 #[test]
 fn distributed_runtime_reproduces_pinned_digest() {
     assert_eq!(distributed_digest(), 0xcd48_5bab_89e5_df90);
-}
-
-#[test]
-fn single_planner_sharded_runtime_reproduces_pinned_digest() {
-    assert_eq!(sharded_digest(), 0xf91e_7bce_50a0_7115);
 }
 
 #[test]

@@ -52,8 +52,9 @@ impl JsonObject {
     }
 }
 
-/// Escape and quote `s` as a JSON string into `buf`.
-fn push_json_str(buf: &mut String, s: &str) {
+/// Escape and quote `s` as a JSON string into `buf`: the one string
+/// escaper every hand-rolled JSON writer in the workspace shares.
+pub fn push_json_str(buf: &mut String, s: &str) {
     buf.push('"');
     for ch in s.chars() {
         match ch {

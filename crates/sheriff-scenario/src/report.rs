@@ -13,7 +13,7 @@
 
 use crate::runner::SeedRun;
 use crate::spec::ScenarioSpec;
-use sheriff_obs::Counters;
+use sheriff_obs::{push_json_str, Counters};
 
 /// Mean / median / 95th percentile of one metric across seed runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -313,22 +313,23 @@ pub fn aggregate(spec: &ScenarioSpec, runs: &[SeedRun]) -> ScenarioReport {
     }
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Push `items` as JSON strings separated by `sep`.
+fn push_json_strs(out: &mut String, items: &[String], sep: &str) {
+    for (i, s) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
         }
+        push_json_str(out, s);
     }
-    out.push('"');
-    out
+}
+
+/// Push one `    "key": value` object member, comma-terminated unless `last`.
+fn push_member(out: &mut String, key: &str, value: &str, last: bool) {
+    out.push_str("    ");
+    push_json_str(out, key);
+    out.push_str(": ");
+    out.push_str(value);
+    out.push_str(if last { "\n" } else { ",\n" });
 }
 
 fn num(v: f64) -> String {
@@ -371,14 +372,21 @@ impl ScenarioReport {
     fn render(&self, with_timings: bool) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": {},\n", esc(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", esc(&self.title)));
-        out.push_str(&format!("  \"runtime\": {},\n", esc(&self.runtime)));
+        for (key, value) in [
+            ("id", &self.id),
+            ("title", &self.title),
+            ("runtime", &self.runtime),
+        ] {
+            out.push_str(&format!("  \"{key}\": "));
+            push_json_str(&mut out, value);
+            out.push_str(",\n");
+        }
         out.push_str(&format!("  \"rounds\": {},\n", self.rounds));
         let seeds: Vec<String> = self.seeds.iter().map(|s| s.to_string()).collect();
         out.push_str(&format!("  \"seeds\": [{}],\n", seeds.join(", ")));
-        let columns: Vec<String> = self.columns.iter().map(|c| esc(c)).collect();
-        out.push_str(&format!("  \"columns\": [{}],\n", columns.join(", ")));
+        out.push_str("  \"columns\": [");
+        push_json_strs(&mut out, &self.columns, ", ");
+        out.push_str("],\n");
         out.push_str("  \"rows\": [\n");
         for (i, row) in self.rows.iter().enumerate() {
             let cells: Vec<String> = row.iter().map(|&v| num(v)).collect();
@@ -388,34 +396,25 @@ impl ScenarioReport {
         out.push_str("  ],\n");
         out.push_str("  \"metrics\": {\n");
         for (i, (k, s)) in self.metrics.iter().enumerate() {
-            let comma = if i + 1 < self.metrics.len() { "," } else { "" };
-            out.push_str(&format!("    {}: {}{}\n", esc(k), stat_json(s), comma));
+            push_member(&mut out, k, &stat_json(s), i + 1 == self.metrics.len());
         }
         out.push_str("  },\n");
         out.push_str("  \"counters\": {\n");
         let n = self.counters.len();
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            let comma = if i + 1 < n { "," } else { "" };
-            out.push_str(&format!("    {}: {}{}\n", esc(k), v, comma));
+            push_member(&mut out, k, &v.to_string(), i + 1 == n);
         }
         out.push_str("  },\n");
         if with_timings {
             out.push_str("  \"timings_ns\": {\n");
             for (i, (k, s)) in self.timings_ns.iter().enumerate() {
-                let comma = if i + 1 < self.timings_ns.len() {
-                    ","
-                } else {
-                    ""
-                };
-                out.push_str(&format!("    {}: {}{}\n", esc(k), stat_json(s), comma));
+                push_member(&mut out, k, &stat_json(s), i + 1 == self.timings_ns.len());
             }
             out.push_str("  },\n");
         }
-        let notes: Vec<String> = self.notes.iter().map(|s| esc(s)).collect();
-        out.push_str(&format!(
-            "  \"notes\": [\n    {}\n  ]\n",
-            notes.join(",\n    ")
-        ));
+        out.push_str("  \"notes\": [\n    ");
+        push_json_strs(&mut out, &self.notes, ",\n    ");
+        out.push_str("\n  ]\n");
         out.push('}');
         out
     }

@@ -20,7 +20,7 @@ use dcn_topology::{HostId, RackId, VmId};
 use sheriff_core::{
     try_drain_rack, try_evacuate_host, CentralizedRuntime, CrashWindow, DistributedRuntime,
     FabricConfig, FabricRuntime, LinkFaultWindow, MigrationContext, MigrationPlan, PartitionWindow,
-    RoundOutcome, RunCtx, Runtime, ShardedRuntime,
+    RoundOutcome, RunCtx, Runtime,
 };
 use sheriff_obs::{Counters, Event, EventSink};
 
@@ -220,14 +220,13 @@ impl ScenarioRunner {
     }
 }
 
-/// The four management loops behind one dispatch point. A plain enum
+/// The three management loops behind one dispatch point. A plain enum
 /// (not `Box<dyn Runtime>`) so the fabric arm's [`FabricConfig`] stays
 /// reachable for per-round channel-phase and crash-list updates.
 #[allow(clippy::large_enum_variant)] // one Loop per job; the fabric arm carries its failover state
 enum Loop {
     Centralized(CentralizedRuntime),
     Distributed(DistributedRuntime),
-    Sharded(ShardedRuntime),
     Fabric(FabricRuntime),
 }
 
@@ -240,7 +239,6 @@ impl Loop {
             RuntimeSpec::Distributed { max_retry } => {
                 Loop::Distributed(DistributedRuntime { max_retry })
             }
-            RuntimeSpec::Sharded => Loop::Sharded(ShardedRuntime),
             RuntimeSpec::Fabric {
                 max_retry,
                 transfer,
@@ -259,7 +257,6 @@ impl Loop {
         match self {
             Loop::Centralized(rt) => rt.step(ctx),
             Loop::Distributed(rt) => rt.step(ctx),
-            Loop::Sharded(rt) => rt.step(ctx),
             Loop::Fabric(rt) => rt.step(ctx),
         }
     }

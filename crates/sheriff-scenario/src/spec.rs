@@ -195,8 +195,6 @@ pub enum RuntimeSpec {
         /// Replan rounds per shim after the first.
         max_retry: usize,
     },
-    /// Message-passing rack agents.
-    Sharded,
     /// Virtual-time fabric over a faulty channel.
     Fabric {
         /// Replan rounds per shim after the first.
@@ -280,7 +278,6 @@ impl RuntimeSpec {
         match self {
             RuntimeSpec::Centralized { .. } => "centralized",
             RuntimeSpec::Distributed { .. } => "distributed",
-            RuntimeSpec::Sharded => "sharded",
             RuntimeSpec::Fabric { .. } => "fabric",
         }
     }
@@ -718,10 +715,6 @@ fn parse_runtime(v: &Value) -> Result<RuntimeSpec, SheriffError> {
                 max_retry: get_usize(t, "max_retry", "runtime")?.unwrap_or(3),
             })
         }
-        "sharded" => {
-            check_keys(t, &["kind"], "runtime")?;
-            Ok(RuntimeSpec::Sharded)
-        }
         "fabric" => {
             check_keys(
                 t,
@@ -746,7 +739,7 @@ fn parse_runtime(v: &Value) -> Result<RuntimeSpec, SheriffError> {
             })
         }
         other => Err(invalid(format!(
-            "unknown runtime.kind {other:?} (centralized, distributed, sharded, fabric)"
+            "unknown runtime.kind {other:?} (centralized, distributed, fabric)"
         ))),
     }
 }
@@ -1548,11 +1541,22 @@ mod tests {
         let spec = ScenarioSpec::parse_str(
             r#"{"name": "j", "rounds": 2, "seeds": [7],
                 "topology": {"kind": "vl2", "d_a": 4, "d_i": 2},
-                "runtime": {"kind": "sharded"}}"#,
+                "runtime": {"kind": "centralized"}}"#,
         )
         .unwrap();
         assert_eq!(spec.topologies, vec![TopologySpec::Vl2 { d_a: 4, d_i: 2 }]);
-        assert_eq!(spec.runtime, RuntimeSpec::Sharded);
+        assert_eq!(spec.runtime, RuntimeSpec::Centralized { max_rounds: 3 });
+    }
+
+    #[test]
+    fn removed_runtime_kind_is_rejected() {
+        let err = ScenarioSpec::parse_str(&format!("{MINIMAL}\n[runtime]\nkind = \"sharded\""))
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains(r#"unknown runtime.kind "sharded" (centralized, distributed, fabric)"#),
+            "{err}"
+        );
     }
 
     #[test]

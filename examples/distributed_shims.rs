@@ -1,8 +1,7 @@
-//! The concurrent runtimes: every alerted shim plans on its own thread
+//! The concurrent runtime: every alerted shim plans on its own thread
 //! and commits through the FCFS REQUEST/ACK protocol (Alg. 4) — the
 //! "communicate between each other to avoid conflictions" of Sec. VIII.
-//! First the lock-based runtime, then the fully sharded one where each
-//! rack's agent owns its capacity and messages flow over channels.
+//! The same handshake over a lossy channel is `lossy_shims`.
 //!
 //! ```text
 //! cargo run --release --example distributed_shims
@@ -51,43 +50,6 @@ fn main() {
             report.plan.moves.len(),
             report.retries,
             cluster.utilization_stddev()
-        );
-    }
-
-    // --- the sharded (lock-free) runtime on a fresh cluster ------------
-    let dcn = fattree::build(&FatTreeConfig::paper(8));
-    let mut sharded = Cluster::build(
-        dcn,
-        &ClusterConfig {
-            vms_per_host: 2.5,
-            skew: 4.0,
-            seed: 99,
-            ..ClusterConfig::default()
-        },
-        SimConfig::paper(),
-    );
-    println!("\nsharded runtime (per-rack agents, REQUEST/ACK over channels):");
-    let mut runtime = ShardedRuntime;
-    for round in 0..6 {
-        let alerts = sharded.fraction_alerts(0.08, round);
-        let vals: Vec<f64> = sharded
-            .placement
-            .vm_ids()
-            .map(|vm| sharded.placement.utilization(sharded.placement.host_of(vm)))
-            .collect();
-        let r = runtime.step(&mut RunCtx {
-            cluster: &mut sharded,
-            metric: &metric,
-            alerts: &alerts,
-            alert_values: &vals,
-            sink: &mut NullSink,
-        });
-        println!(
-            "round {round}: {} planner threads, {} moves, {} REQUESTs rejected, std-dev {:.1}%",
-            r.shims,
-            r.plan.moves.len(),
-            r.plan.rejected,
-            sharded.utilization_stddev()
         );
     }
 
