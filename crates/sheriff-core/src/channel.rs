@@ -6,8 +6,8 @@
 //! Determinism: all faults draw from one seeded RNG, and the zero-fault
 //! configuration ([`ChannelFaults::reliable`]) draws nothing at all — the
 //! channel then delivers strictly in send order with unit delay, which is
-//! what lets the message-passing runtime reproduce the shared-lock
-//! runtime exactly.
+//! what lets the message-passing runtime reproduce the threaded runtime
+//! exactly.
 
 use crate::protocol::ShimMsg;
 use dcn_sim::{ChannelFaults, SheriffError};

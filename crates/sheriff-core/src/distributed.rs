@@ -1,12 +1,13 @@
 //! The threaded distributed runtime: optimistic per-shim planning with
 //! protocol-checked FCFS commits.
 //!
-//! [`distributed_round_obs`] — each shim plans on its own thread, then all
-//! commits funnel through the destination racks' [`ShimEndpoint`]s in
-//! deterministic rack order (Alg. 4 FCFS, Sec. II-B/V-B — "each local
-//! manager adjusts network traffic locally, they need to communicate
-//! between each other to avoid conflictions"). The shared mutex guards
-//! only the placement snapshot/commit; the protocol layer decides.
+//! [`DistributedRuntime`](crate::DistributedRuntime) — each shim plans on
+//! its own thread, then all commits funnel through the destination racks'
+//! [`ShimEndpoint`]s in deterministic rack order (Alg. 4 FCFS, Sec.
+//! II-B/V-B — "each local manager adjusts network traffic locally, they
+//! need to communicate between each other to avoid conflictions"). Planner
+//! threads only read the placement, and only between commit passes; the
+//! coordinating thread alone commits, and the protocol layer decides.
 //!
 //! The planning core it is built on (PRIORITY victim selection + min-cost
 //! matching on a snapshot, Algs. 1–3: `priority::select_victims` and
@@ -18,15 +19,13 @@
 //! identical sequence of Alg. 4 requests in the identical order, so the
 //! ACK/REJECT outcomes — and therefore the plans — match.
 
-use crate::audit::{audit_moves, audit_placement, AuditReport};
+use crate::audit::{audit_moves, audit_placement};
 use crate::priority::{alert_lookup, select_victims};
 use crate::protocol::{RejectReason, ReqId, ShimEndpoint, Verdict};
+use crate::runtime::{RoundOutcome, RunCtx};
 use crate::vmmigration::{plan_proposals, region_slots, unassigned, MigrationPlan, Move, Proposal};
-use dcn_sim::engine::Cluster;
-use dcn_sim::{Alert, RackMetric};
 use dcn_topology::{HostId, RackId, VmId};
-use parking_lot::Mutex;
-use sheriff_obs::{emit, Event, EventSink, RejectKind};
+use sheriff_obs::{emit, Event, RejectKind};
 use std::collections::BTreeSet;
 
 /// Map a protocol-level REJECT payload to its observability label.
@@ -38,80 +37,6 @@ pub(crate) fn reject_kind(reason: RejectReason) -> RejectKind {
         RejectReason::Expired => RejectKind::Expired,
         RejectReason::StaleEpoch => RejectKind::Stale,
     }
-}
-
-/// Result of one distributed round (either runtime).
-#[derive(Debug, Clone, Default)]
-pub struct DistributedReport {
-    /// Merged migration plan across all shims.
-    pub plan: MigrationPlan,
-    /// Commit attempts that were rejected and replanned.
-    pub retries: usize,
-    /// Shims that participated.
-    pub shims: usize,
-    /// Messages lost by the channel (fabric runtime only).
-    pub drops: usize,
-    /// Requests whose reply deadline expired at least once.
-    pub timeouts: usize,
-    /// Retransmissions sent after timeouts.
-    pub resends: usize,
-    /// Duplicate REQUEST deliveries absorbed by dedup logs.
-    pub dedup_hits: usize,
-    /// Shims that had to run with part of their region presumed dead.
-    pub degraded_shims: usize,
-    /// Alerted shims that were crashed and could not participate.
-    pub crashed_shims: usize,
-    /// Virtual ticks the fabric round took (0 for the threaded runtime).
-    pub ticks: u64,
-    /// Transactions journalled as `Prepared` (fabric runtime only).
-    pub txn_prepared: usize,
-    /// Transactions that reached `Committed`.
-    pub txn_committed: usize,
-    /// Transactions that ended `Aborted` (lease expiry, ABORT, or the
-    /// end-of-round sweep).
-    pub txn_aborted: usize,
-    /// Shims that crashed mid-round and replayed their journal on
-    /// recovery.
-    pub recoveries: usize,
-    /// Regional takeovers: a Dead shim's racks were handed to a neighbor
-    /// (each one bumps the rack's epoch).
-    pub takeovers: usize,
-    /// 2PC messages fenced for carrying a pre-takeover epoch.
-    pub fenced: usize,
-    /// Shims that planned while cut off from part of their region by an
-    /// active network partition (degraded local handling).
-    pub partition_degraded: usize,
-    /// Pending VMs dropped at partition heal because another manager
-    /// handled them during the cut.
-    pub reconciliations: usize,
-    /// Pre-copy transfers admitted onto the transfer scheduler (fabric
-    /// runtime with the network-aware transfer model enabled; 0 otherwise).
-    pub transfers_started: usize,
-    /// Transfers that streamed to completion and finalized their commit.
-    pub transfers_completed: usize,
-    /// Transfers steered off their primary route by QCN congestion.
-    pub transfer_reroutes: usize,
-    /// Admissions delayed because the concurrent-transfer cap was full.
-    pub transfer_queue_delays: usize,
-    /// Completion time in virtual ticks of every finished transfer, in
-    /// completion order.
-    pub transfer_durations: Vec<u64>,
-    /// Peak number of concurrent transfers sharing one link (≥ 2 means
-    /// the round saw bottleneck serialization).
-    pub transfer_peak_sharing: usize,
-    /// Transfers that entered `Stalled` after a link failure cut every
-    /// surviving candidate route (including stalled-at-admission).
-    pub transfer_stalls: usize,
-    /// Backoff-timer retry probes fired by stalled transfers.
-    pub transfer_retries: usize,
-    /// Transfers that exhausted their retry budget (or lost an endpoint)
-    /// and escalated to a 2PC abort.
-    pub transfer_failures: usize,
-    /// Checkpointed bytes that resumed transfers did *not* have to
-    /// re-copy versus restarting from zero (post-penalty).
-    pub resumed_bytes_saved: f64,
-    /// Post-round invariant audit (clean when no violations).
-    pub audit: AuditReport,
 }
 
 /// Per-shim negotiation state shared by both runtimes' bookkeeping.
@@ -129,86 +54,76 @@ pub(crate) struct ShimState {
 
 /// Run one management round with every alerted shim planning on its own
 /// thread and committing through the destination racks' protocol
-/// endpoints in deterministic rack order, with an [`EventSink`]
-/// observing the negotiation. `alert_values[vm]` supplies the ALERT
-/// magnitude for PRIORITY's `w = 1` branch. Mutates `cluster.placement`
-/// in place on return.
+/// endpoints in deterministic rack order. Mutates the cluster's placement
+/// in place.
 ///
 /// Planning still runs one thread per shim; events are emitted only from
 /// the single-threaded victim-selection and commit phases, in
 /// deterministic rack/request order, so the event stream is reproducible
 /// and the sink needs no synchronization.
-pub fn distributed_round_obs<S: EventSink + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    max_retry: usize,
-    sink: &mut S,
-) -> DistributedReport {
+pub(crate) fn run_round(ctx: &mut RunCtx<'_>, max_retry: usize) -> RoundOutcome {
+    let (metric, alerts, alert_values) = (ctx.metric, ctx.alerts, ctx.alert_values);
+    let cluster = &mut *ctx.cluster;
+    let sink = &mut *ctx.sink;
     let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
     racks.sort_unstable();
     racks.dedup();
     if racks.is_empty() {
-        return DistributedReport::default();
+        return RoundOutcome::default();
     }
 
     let deps = &cluster.deps;
     let inventory = &cluster.dcn.inventory;
     let sim = &cluster.sim;
-    let shared = Mutex::new(cluster.placement.clone());
     let mut endpoints: Vec<ShimEndpoint> = (0..cluster.dcn.rack_count())
         .map(|r| ShimEndpoint::new(RackId::from_index(r)))
         .collect();
 
-    // victim selection on the initial snapshot (Alg. 1)
-    let mut states: Vec<ShimState> = {
-        let snapshot = shared.lock().clone();
-        racks
-            .iter()
-            .map(|&rack| {
-                let (pending, candidates) = select_victims(
-                    &snapshot,
-                    inventory,
-                    sim,
-                    rack,
-                    alerts,
-                    alert_lookup(alert_values),
-                );
-                emit(sink, || Event::VictimsSelected {
-                    rack: rack.index() as u64,
-                    candidates: candidates as u64,
-                    selected: pending.len() as u64,
-                });
-                let region = cluster.dcn.neighbor_racks(rack, sim.region_hops);
-                let slots = region_slots(inventory, &region, rack);
-                ShimState {
-                    rack,
-                    active: !pending.is_empty() && !slots.is_empty(),
-                    pending,
-                    slots,
-                    excluded: BTreeSet::new(),
-                    plan: MigrationPlan::default(),
-                    retries: 0,
-                    seq: 0,
-                }
-            })
-            .collect()
-    };
+    // victim selection on the initial placement (Alg. 1)
+    let mut states: Vec<ShimState> = racks
+        .iter()
+        .map(|&rack| {
+            let (pending, candidates) = select_victims(
+                &cluster.placement,
+                inventory,
+                sim,
+                rack,
+                alerts,
+                alert_lookup(alert_values),
+            );
+            emit(sink, || Event::VictimsSelected {
+                rack: rack.index() as u64,
+                candidates: candidates as u64,
+                selected: pending.len() as u64,
+            });
+            let region = cluster.dcn.neighbor_racks(rack, sim.region_hops);
+            let slots = region_slots(inventory, &region, rack);
+            ShimState {
+                rack,
+                active: !pending.is_empty() && !slots.is_empty(),
+                pending,
+                slots,
+                excluded: BTreeSet::new(),
+                plan: MigrationPlan::default(),
+                retries: 0,
+                seq: 0,
+            }
+        })
+        .collect();
 
     for _round in 0..=max_retry {
         let idxs: Vec<usize> = (0..states.len()).filter(|&i| states[i].active).collect();
         if idxs.is_empty() {
             break;
         }
-        // optimistic planning, one thread per active shim, on one snapshot
-        let snapshot = shared.lock().clone();
+        // optimistic planning, one thread per active shim, all reading
+        // the placement as it stands before this pass commits anything
+        let snapshot = &cluster.placement;
         let plans: Vec<(Vec<Option<Proposal>>, usize)> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = idxs
                 .iter()
                 .map(|&i| {
                     let st = &states[i];
-                    let snapshot = &snapshot;
                     scope.spawn(move |_| {
                         plan_proposals(
                             snapshot,
@@ -232,7 +147,7 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
 
         // pessimistic commit: FCFS through each destination's endpoint,
         // shims in rack order, requests in matching order
-        let mut placement = shared.lock();
+        let placement = &mut cluster.placement;
         for (&i, (rows, space)) in idxs.iter().zip(plans) {
             let st = &mut states[i];
             st.plan.search_space += space;
@@ -255,13 +170,9 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
                     dest_host: p.dest.index() as u64,
                     attempt: 1,
                 });
-                match endpoints[dest_rack.index()].handle_request(
-                    &mut placement,
-                    deps,
-                    req_id,
-                    p.vm,
-                    p.dest,
-                ) {
+                match endpoints[dest_rack.index()]
+                    .handle_request(placement, deps, req_id, p.vm, p.dest)
+                {
                     Verdict::Ack => {
                         emit(sink, || Event::AckReceived {
                             req: req_id.0,
@@ -302,9 +213,9 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
         }
     }
 
-    let mut report = DistributedReport {
+    let mut report = RoundOutcome {
         shims: racks.len(),
-        ..DistributedReport::default()
+        ..RoundOutcome::default()
     };
     for mut st in states {
         st.plan.unplaced.extend(st.pending);
@@ -312,7 +223,6 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
         report.retries += st.retries;
     }
     report.dedup_hits = endpoints.iter().map(|e| e.dedup_hits()).sum();
-    cluster.placement = shared.into_inner();
     report.audit = audit_placement(&cluster.placement, &cluster.deps);
     report.audit.merge(audit_moves(
         &cluster.placement,
@@ -324,7 +234,9 @@ pub fn distributed_round_obs<S: EventSink + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dcn_sim::engine::ClusterConfig;
+    use crate::{DistributedRuntime, Runtime};
+    use dcn_sim::engine::{Cluster, ClusterConfig};
+    use dcn_sim::{Alert, RackMetric};
     use dcn_topology::fattree::{self, FatTreeConfig};
     use sheriff_obs::NullSink;
 
@@ -347,6 +259,17 @@ mod tests {
             .vm_ids()
             .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
             .collect()
+    }
+
+    /// One threaded round with three replan passes.
+    fn round(c: &mut Cluster, metric: &RackMetric, alerts: &[Alert], vals: &[f64]) -> RoundOutcome {
+        DistributedRuntime { max_retry: 3 }.step(&mut RunCtx {
+            cluster: c,
+            metric,
+            alerts,
+            alert_values: vals,
+            sink: &mut NullSink,
+        })
     }
 
     fn assert_capacity_ok(c: &Cluster) {
@@ -379,7 +302,7 @@ mod tests {
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
         let vals = alert_values(&c);
-        let report = distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals);
         assert!(report.shims > 1, "want true concurrency in this test");
         assert!(!report.plan.moves.is_empty());
         assert_capacity_ok(&c);
@@ -391,7 +314,7 @@ mod tests {
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
         let vals = alert_values(&c);
-        let _ = distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
+        let _ = round(&mut c, &metric, &alerts, &vals);
         assert_deps_ok(&c);
     }
 
@@ -403,7 +326,7 @@ mod tests {
         for t in 0..6 {
             let alerts = c.fraction_alerts(0.05, t);
             let vals = alert_values(&c);
-            distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
+            round(&mut c, &metric, &alerts, &vals);
         }
         let after = c.utilization_stddev();
         assert!(after < before, "std-dev {before} -> {after}");
@@ -415,7 +338,7 @@ mod tests {
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.05, 0);
         let vals = alert_values(&c);
-        let report = distributed_round_obs(&mut c, &metric, &alerts, &vals, 3, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals);
         // each VM's final host equals its last recorded move
         let mut last: std::collections::HashMap<VmId, HostId> = Default::default();
         for m in &report.plan.moves {
@@ -433,7 +356,7 @@ mod tests {
         let mut c = cluster(25);
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let before = c.utilization_stddev();
-        let report = distributed_round_obs(&mut c, &metric, &[], &[], 3, &mut NullSink);
+        let report = round(&mut c, &metric, &[], &[]);
         assert_eq!(report.shims, 0);
         assert!(report.plan.moves.is_empty());
         assert_eq!(c.utilization_stddev(), before);

@@ -1,11 +1,11 @@
 //! The message-passing fabric runtime on the deterministic event core.
 //!
-//! [`fabric_round_failover_obs`] runs one management round as a
-//! discrete-event simulation over [`sheriff_sim`]: heartbeat emissions,
-//! failure-detector sweeps, REQUEST/2PC timeouts and backoff, lease
-//! expiry, crash/recover windows and partition heals are all *scheduled
-//! events* on a [`Simulation`] agenda instead of per-tick drains of the
-//! channel and fault queues. The round advances from activation to
+//! [`FabricRuntime`](crate::FabricRuntime)'s `step` runs one management
+//! round as a discrete-event simulation over [`sheriff_sim`]: heartbeat
+//! emissions, failure-detector sweeps, REQUEST/2PC timeouts and backoff,
+//! lease expiry, crash/recover windows and partition heals are all
+//! *scheduled events* on a [`Simulation`] agenda instead of per-tick
+//! drains of the channel and fault queues. The round advances from activation to
 //! activation; at every activated virtual tick it runs the same phases
 //! in the same order as the historical per-tick loop, so the event core
 //! reproduces the per-tick fabric byte for byte (DESIGN.md §10 maps
@@ -33,9 +33,9 @@
 //! 2PC), one `FabricShim` per alerted rack (the source side), the set
 //! of down racks, the transfer scheduler and its audit state, the
 //! `Agenda` and the report, and it borrows the cluster, metric, config,
-//! failover state and sink. [`fabric_round_failover_obs`] only builds
-//! it (which admits the shims and seeds the agenda), loops `activate` →
-//! `settled` → `schedule_wakes` → hop, and calls `finish`. Each
+//! failover state and sink. `run_round` only builds it (which admits
+//! the shims and seeds the agenda), loops `activate` → `settled` →
+//! `schedule_wakes` → hop, and calls `finish`. Each
 //! `FabricEvent` has an `on_*` handler (`on_crash`, `on_recover`,
 //! `on_link_fail`, `on_link_restore`, `on_heal`, `on_alert_check`,
 //! `on_beacon`), each `ShimMsg` variant has one
@@ -50,13 +50,14 @@ use crate::audit::{
     audit_journals, audit_managers, audit_moves, audit_placement, AuditReport, AuditViolation,
 };
 use crate::channel::{CrashWindow, LinkFaultWindow, PartitionWindow, SimNet};
-use crate::distributed::{reject_kind, DistributedReport, ShimState};
+use crate::distributed::{reject_kind, ShimState};
 use crate::failure::{RegionFailover, ShimHealth};
 use crate::journal::TxnState;
 use crate::priority::{alert_lookup, select_victims};
 use crate::protocol::{
     BackoffPolicy, Liveness, RejectReason, ReqId, ShimEndpoint, ShimMsg, TwoPhaseReply,
 };
+use crate::runtime::{RoundOutcome, RunCtx};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, ChannelFaults, RackMetric};
 use dcn_topology::{HostId, RackId, VmId};
@@ -74,8 +75,7 @@ pub struct FabricConfig {
     /// Seed for the channel's fault RNG.
     pub seed: u64,
     /// Replan rounds per shim after the first, mirroring
-    /// [`distributed_round_obs`](crate::distributed_round_obs)'s
-    /// `max_retry`.
+    /// [`DistributedRuntime::max_retry`](crate::DistributedRuntime::max_retry).
     pub max_retry: usize,
     /// Timeout/retransmission policy per request.
     pub backoff: BackoffPolicy,
@@ -347,7 +347,7 @@ impl FabricShim {
     }
 
     /// Mark the shim degraded, announcing it the first time.
-    fn degrade<S: EventSink + ?Sized>(&mut self, sink: &mut S) {
+    fn degrade(&mut self, sink: &mut dyn EventSink) {
         if !self.degraded {
             let rack = self.st.rack.index() as u64;
             emit(sink, || Event::ShimDegraded { rack });
@@ -356,7 +356,7 @@ impl FabricShim {
     }
 
     /// Record `o` as a committed move in the shim's plan.
-    fn commit<S: EventSink + ?Sized>(&mut self, o: &Outstanding, sink: &mut S) {
+    fn commit(&mut self, o: &Outstanding, sink: &mut dyn EventSink) {
         emit(sink, || Event::MigrationCommitted {
             vm: o.vm.index() as u64,
             from_host: o.from.index() as u64,
@@ -375,13 +375,7 @@ impl FabricShim {
 
     /// A REJECT for `vm` arrived: count it and put the VM back on the
     /// pending list for the next plan.
-    fn requeue<S: EventSink + ?Sized>(
-        &mut self,
-        req_id: ReqId,
-        vm: VmId,
-        reason: RejectReason,
-        sink: &mut S,
-    ) {
+    fn requeue(&mut self, req_id: ReqId, vm: VmId, reason: RejectReason, sink: &mut dyn EventSink) {
         emit(sink, || Event::RejectReceived {
             req: req_id.0,
             vm: vm.index() as u64,
@@ -510,69 +504,24 @@ impl Agenda {
     }
 }
 
-/// Run one management round entirely over the simulated shim channel:
-/// REQUEST/ACK/REJECT with deadlines, backoff, idempotent retransmission,
-/// heartbeat liveness, and graceful degradation around crashed shims.
-///
-/// Single-threaded and deterministic in virtual time; with
+/// Run one fabric round: build the `FabricRound` (which admits the
+/// shims and seeds the agenda), hop from activation to activation until
+/// the round settles or passes `cfg.max_ticks`, and close it. With
 /// [`ChannelFaults::reliable`] and no crashes it produces the same plan
-/// as [`distributed_round_obs`](crate::distributed_round_obs) with
-/// `max_retry = cfg.max_retry`.
+/// as the threaded runtime with `max_retry = cfg.max_retry`.
 ///
-/// An [`EventSink`] observes the message exchange: every
+/// `failover` carries the detector's silence clock, the regional epochs
+/// and the manager table across rounds. The sink sees every
 /// REQUEST/ACK/REJECT, timeout, retransmission, absorbed duplicate,
-/// degradation step, and crashed shim becomes a structured event, and the
-/// channel's [`NetStats`](crate::channel::NetStats) land in counters
-/// (`net.sent`, `net.dropped`, ...).
-pub fn fabric_round_obs<S: EventSink + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
-    cfg: &FabricConfig,
-    sink: &mut S,
-) -> DistributedReport {
-    // single-shot compatibility path: fresh failover state has no
-    // heartbeat history, so no takeover or fencing can fire and the
-    // round reproduces the pre-failover fabric byte for byte
-    let mut failover = cfg.failover_state();
-    fabric_round_failover_obs(
-        cluster,
-        metric,
-        alerts,
-        alert_values,
-        cfg,
-        &mut failover,
-        sink,
-    )
-}
-
-/// The fabric round with persistent partition-tolerance state threaded
-/// through: the adaptive failure detector accrues heartbeat silence
-/// across rounds, a shim it declares Dead has its racks handed to a
-/// deterministic successor under a bumped epoch, and 2PC messages
-/// carrying a superseded epoch are fenced with a `StaleEpoch` reject
-/// that teaches the zombie the current term. Partition windows from
-/// `cfg.partitions` cut the simulated network; shims plan around active
-/// cuts in degraded local mode and reconcile parked work when a window
-/// heals. [`fabric_round_obs`] is this with throwaway state.
-///
-/// Internally the round is a discrete-event simulation: the agenda is
-/// seeded with every schedule window, heal, and beacon, and the loop
-/// hops from activation to activation, running the historical per-tick
-/// phases at each one. Deliveries, deadlines, leases, detector
-/// transitions, and planning gates schedule their own derived wakes, so
-/// no state-changing tick is ever skipped.
-pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
-    cluster: &mut Cluster,
-    metric: &RackMetric,
-    alerts: &[Alert],
-    alert_values: &[f64],
+/// degradation step and crashed shim as an event, and the channel's
+/// [`NetStats`](crate::channel::NetStats) as counters (`net.sent`,
+/// `net.dropped`, ...).
+pub(crate) fn run_round(
+    ctx: &mut RunCtx<'_>,
     cfg: &FabricConfig,
     failover: &mut RegionFailover,
-    sink: &mut S,
-) -> DistributedReport {
-    let mut round = FabricRound::new(cluster, metric, alerts, alert_values, cfg, failover, sink);
+) -> RoundOutcome {
+    let mut round = FabricRound::new(ctx, cfg, failover);
     if round.shims.is_empty() {
         return round.report;
     }
@@ -600,14 +549,14 @@ pub fn fabric_round_failover_obs<S: EventSink + ?Sized>(
 /// borrows of the round's inputs. Each `FabricEvent` and each `ShimMsg`
 /// variant has its own handler method; `activate` runs them in the
 /// fixed phase order of DESIGN.md §10.
-struct FabricRound<'a, S: EventSink + ?Sized> {
+struct FabricRound<'a> {
     cluster: &'a mut Cluster,
     metric: &'a RackMetric,
     alerts: &'a [Alert],
     alert_values: &'a [f64],
     cfg: &'a FabricConfig,
     failover: &'a mut RegionFailover,
-    sink: &'a mut S,
+    sink: &'a mut dyn EventSink,
     /// Source racks: alerted and not crashed for the whole round.
     racks: Vec<RackId>,
     /// Mid-round crash windows (`cfg.crashed` minus whole-round ones).
@@ -639,22 +588,19 @@ struct FabricRound<'a, S: EventSink + ?Sized> {
     /// into `transfer_failures` on top of the scheduler's own.
     rack_failed_transfers: usize,
     agenda: Agenda,
-    report: DistributedReport,
+    report: RoundOutcome,
     /// The activated virtual tick.
     t: u64,
 }
 
-impl<'a, S: EventSink + ?Sized> FabricRound<'a, S> {
+impl<'a> FabricRound<'a> {
     fn new(
-        cluster: &'a mut Cluster,
-        metric: &'a RackMetric,
-        alerts: &'a [Alert],
-        alert_values: &'a [f64],
+        ctx: &'a mut RunCtx<'_>,
         cfg: &'a FabricConfig,
         failover: &'a mut RegionFailover,
-        sink: &'a mut S,
     ) -> Self {
-        let mut racks: Vec<RackId> = alerts.iter().map(|a| a.rack).collect();
+        let cluster = &mut *ctx.cluster;
+        let mut racks: Vec<RackId> = ctx.alerts.iter().map(|a| a.rack).collect();
         racks.sort_unstable();
         racks.dedup();
         // a window with crash_at == 0 and no recovery is the old
@@ -698,15 +644,15 @@ impl<'a, S: EventSink + ?Sized> FabricRound<'a, S> {
                 seen: BTreeSet::new(),
                 timeout_wake: None,
             },
-            report: DistributedReport::default(),
+            report: RoundOutcome::default(),
             t: 0,
             cluster,
-            metric,
-            alerts,
-            alert_values,
+            metric: ctx.metric,
+            alerts: ctx.alerts,
+            alert_values: ctx.alert_values,
             cfg,
             failover,
-            sink,
+            sink: &mut *ctx.sink,
         };
         round.admit_shims();
         round.seed_agenda();
@@ -2153,7 +2099,7 @@ impl<'a, S: EventSink + ?Sized> FabricRound<'a, S> {
 
     /// Close the round: abort every prepare still open, audit, settle
     /// unknown fates against ground truth, and assemble the report.
-    fn finish(mut self) -> DistributedReport {
+    fn finish(mut self) -> RoundOutcome {
         // no transaction outlives the round: sweep every journal and
         // abort whatever is still `Prepared` (sources that walked away,
         // schedules that never recovered, the tick cap). Must happen
@@ -2208,6 +2154,7 @@ impl<'a, S: EventSink + ?Sized> FabricRound<'a, S> {
         self.failover.clock += report.ticks + 1;
         report.drops = net.stats.dropped;
         report.dedup_hits = self.endpoints.iter().map(|e| e.dedup_hits()).sum();
+        report.transfer_p95_completion = p95_ticks(&report.transfer_durations);
         if let Some(ts) = &self.transfers {
             report.transfer_reroutes = ts.reroutes();
             report.transfer_queue_delays = ts.queue_delays();
@@ -2260,12 +2207,56 @@ impl<'a, S: EventSink + ?Sized> FabricRound<'a, S> {
     }
 }
 
+/// Nearest-rank p95 over a set of transfer durations, 0.0 when empty.
+fn p95_ticks(durations: &[u64]) -> f64 {
+    if durations.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = durations.to_vec();
+    sorted.sort_unstable();
+    let rank = ((sorted.len() as f64) * 0.95).ceil() as usize;
+    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
+    sorted.get(idx).copied().unwrap_or(0) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DistributedRuntime, FabricRuntime, Runtime};
     use dcn_sim::engine::ClusterConfig;
     use dcn_topology::fattree::{self, FatTreeConfig};
     use sheriff_obs::{NullSink, RingRecorder};
+
+    /// One round of `rt` through [`Runtime::step`].
+    fn step(
+        rt: &mut dyn Runtime,
+        c: &mut Cluster,
+        metric: &RackMetric,
+        alerts: &[Alert],
+        vals: &[f64],
+        sink: &mut dyn EventSink,
+    ) -> RoundOutcome {
+        rt.step(&mut RunCtx {
+            cluster: c,
+            metric,
+            alerts,
+            alert_values: vals,
+            sink,
+        })
+    }
+
+    /// One round of a fresh fabric runtime for `cfg`.
+    fn round(
+        c: &mut Cluster,
+        metric: &RackMetric,
+        alerts: &[Alert],
+        vals: &[f64],
+        cfg: &FabricConfig,
+        sink: &mut dyn EventSink,
+    ) -> RoundOutcome {
+        let mut rt = FabricRuntime::with_config(cfg.clone());
+        step(&mut rt, c, metric, alerts, vals, sink)
+    }
 
     fn cluster(seed: u64) -> Cluster {
         let dcn = fattree::build(&FatTreeConfig::paper(8));
@@ -2322,15 +2313,26 @@ mod tests {
 
         let cfg = FabricConfig::default();
         assert!(cfg.faults.is_reliable());
-        let rt = crate::distributed::distributed_round_obs(
+        let mut threaded_rt = DistributedRuntime {
+            max_retry: cfg.max_retry,
+        };
+        let mut fabric_rt = FabricRuntime::with_config(cfg);
+        let rt = step(
+            &mut threaded_rt,
             &mut threaded,
             &metric,
             &alerts,
             &vals,
-            cfg.max_retry,
             &mut NullSink,
         );
-        let rf = fabric_round_obs(&mut fabric, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let rf = step(
+            &mut fabric_rt,
+            &mut fabric,
+            &metric,
+            &alerts,
+            &vals,
+            &mut NullSink,
+        );
 
         assert_eq!(rt.plan.moves.len(), rf.plan.moves.len());
         for (a, b) in rt.plan.moves.iter().zip(&rf.plan.moves) {
@@ -2377,7 +2379,7 @@ mod tests {
             crashed: vec![CrashWindow::whole_round(crashed)],
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
 
         assert!(
             report.ticks < cfg.max_ticks,
@@ -2414,7 +2416,7 @@ mod tests {
             seed: 5,
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
         assert!(
             report.dedup_hits > 0,
             "50% duplication must hit the dedup log"
@@ -2457,7 +2459,7 @@ mod tests {
                 .collect(),
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
         assert_eq!(report.shims, 0);
         assert_eq!(report.crashed_shims, crashed.len());
         assert!(report.plan.moves.is_empty());
@@ -2480,7 +2482,7 @@ mod tests {
             crashed: vec![CrashWindow::during(victim, 4, 12)],
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
 
         assert!(report.ticks < cfg.max_ticks, "round wedged");
         assert_eq!(report.recoveries, 1);
@@ -2525,7 +2527,7 @@ mod tests {
             }],
             ..FabricConfig::default()
         };
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut NullSink);
         assert!(report.ticks < cfg.max_ticks, "round wedged");
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
@@ -2538,10 +2540,12 @@ mod tests {
         let metric = RackMetric::build(&c.dcn, &c.sim);
         let alerts = c.fraction_alerts(0.10, 0);
         let victim = alerts[0].rack;
-        let mut failover = RegionFailover::default();
-        let crash_cfg = FabricConfig {
-            crashed: vec![CrashWindow::whole_round(victim)],
-            ..FabricConfig::default()
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                crashed: vec![CrashWindow::whole_round(victim)],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::default(),
         };
         // the victim stays dark across rounds: the detector walks it to
         // Dead and exactly one takeover (epoch bump) follows, however
@@ -2549,44 +2553,28 @@ mod tests {
         let mut takeovers = 0;
         for _ in 0..6 {
             let vals = alert_values(&c);
-            let r = fabric_round_failover_obs(
-                &mut c,
-                &metric,
-                &alerts,
-                &vals,
-                &crash_cfg,
-                &mut failover,
-                &mut NullSink,
-            );
+            let r = step(&mut rt, &mut c, &metric, &alerts, &vals, &mut NullSink);
             assert!(r.audit.is_clean(), "{}", r.audit);
             takeovers += r.takeovers;
         }
         assert_eq!(takeovers, 1, "one manager change, one epoch bump");
-        assert_eq!(failover.epoch_of(victim), 1);
-        assert!(failover.taken_over(victim));
+        assert_eq!(rt.failover.epoch_of(victim), 1);
+        assert!(rt.failover.taken_over(victim));
         assert_eq!(
-            failover.view_of(victim),
+            rt.failover.view_of(victim),
             0,
             "the deposed shim never heard the bump"
         );
 
         // the shim returns: its first PREPARE burst still carries epoch
         // 0, gets fenced, and the reject teaches it the current epoch
-        let cfg = FabricConfig::default();
+        rt.cfg = FabricConfig::default();
         let vals = alert_values(&c);
-        let r = fabric_round_failover_obs(
-            &mut c,
-            &metric,
-            &alerts,
-            &vals,
-            &cfg,
-            &mut failover,
-            &mut NullSink,
-        );
+        let r = step(&mut rt, &mut c, &metric, &alerts, &vals, &mut NullSink);
         assert!(r.fenced > 0, "zombie PREPAREs must be fenced");
-        assert_eq!(failover.view_of(victim), 1, "reject taught the epoch");
+        assert_eq!(rt.failover.view_of(victim), 1, "reject taught the epoch");
         assert!(
-            !failover.taken_over(victim),
+            !rt.failover.taken_over(victim),
             "beaconing again reinstates management"
         );
         assert!(r.audit.is_clean(), "{}", r.audit);
@@ -2607,23 +2595,17 @@ mod tests {
         // moves to a successor under a bumped epoch, and the shim then
         // recovers into the takeover — the regression this guards is two
         // shims both claiming the victim's VMs
-        let mut failover = RegionFailover::new(2, 4);
-        let cfg = FabricConfig {
-            crashed: vec![CrashWindow::during(victim, 1, 20)],
-            ..FabricConfig::default()
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                crashed: vec![CrashWindow::during(victim, 1, 20)],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::new(2, 4),
         };
-        let report = fabric_round_failover_obs(
-            &mut c,
-            &metric,
-            &alerts,
-            &vals,
-            &cfg,
-            &mut failover,
-            &mut NullSink,
-        );
-        assert!(report.ticks < cfg.max_ticks, "round wedged");
+        let report = step(&mut rt, &mut c, &metric, &alerts, &vals, &mut NullSink);
+        assert!(report.ticks < rt.cfg.max_ticks, "round wedged");
         assert_eq!(report.takeovers, 1, "mid-round takeover must fire");
-        assert_eq!(failover.epoch_of(victim), 1);
+        assert_eq!(rt.failover.epoch_of(victim), 1);
         assert_eq!(report.recoveries, 1);
         // the manager audit (merged into report.audit) proves no VM was
         // pending/outstanding at two shims at once
@@ -2653,20 +2635,14 @@ mod tests {
         let alerts = c.fraction_alerts(0.10, 0);
         let vals = alert_values(&c);
         let isolated = alerts[0].rack;
-        let cfg = FabricConfig {
-            partitions: vec![PartitionWindow::new(vec![isolated], 0, Some(24))],
-            ..FabricConfig::default()
+        let mut rt = FabricRuntime {
+            cfg: FabricConfig {
+                partitions: vec![PartitionWindow::new(vec![isolated], 0, Some(24))],
+                ..FabricConfig::default()
+            },
+            failover: RegionFailover::default(),
         };
-        let mut failover = RegionFailover::default();
-        let report = fabric_round_failover_obs(
-            &mut c,
-            &metric,
-            &alerts,
-            &vals,
-            &cfg,
-            &mut failover,
-            &mut NullSink,
-        );
+        let report = step(&mut rt, &mut c, &metric, &alerts, &vals, &mut NullSink);
         assert!(
             report.partition_degraded > 0,
             "the cut shim must notice its shrunken region"
@@ -2677,7 +2653,7 @@ mod tests {
         assert_eq!(report.fenced, 0, "no epoch bumped, nothing to fence");
         assert_eq!(report.crashed_shims, 0);
         for r in 0..c.dcn.rack_count() {
-            assert_eq!(failover.epoch_of(RackId::from_index(r)), 0);
+            assert_eq!(rt.failover.epoch_of(RackId::from_index(r)), 0);
         }
         assert!(report.audit.is_clean(), "{}", report.audit);
         assert_capacity_ok(&c);
@@ -2691,22 +2667,16 @@ mod tests {
             let metric = RackMetric::build(&c.dcn, &c.sim);
             let alerts = c.fraction_alerts(0.10, 0);
             let vals = alert_values(&c);
-            let cfg = FabricConfig {
-                faults: ChannelFaults::lossy(0.05),
-                seed: 41,
-                partitions: vec![PartitionWindow::new(vec![alerts[0].rack], 2, Some(20))],
-                ..FabricConfig::default()
+            let mut rt = FabricRuntime {
+                cfg: FabricConfig {
+                    faults: ChannelFaults::lossy(0.05),
+                    seed: 41,
+                    partitions: vec![PartitionWindow::new(vec![alerts[0].rack], 2, Some(20))],
+                    ..FabricConfig::default()
+                },
+                failover: RegionFailover::default(),
             };
-            let mut failover = RegionFailover::default();
-            let report = fabric_round_failover_obs(
-                &mut c,
-                &metric,
-                &alerts,
-                &vals,
-                &cfg,
-                &mut failover,
-                &mut NullSink,
-            );
+            let report = step(&mut rt, &mut c, &metric, &alerts, &vals, &mut NullSink);
             let placement: Vec<HostId> = c
                 .placement
                 .vm_ids()
@@ -2760,17 +2730,12 @@ mod tests {
             if tight {
                 cfg = cfg.with_beacon_interval(victim, 2);
             }
-            let mut failover = RegionFailover::new(8, 6);
+            let mut rt = FabricRuntime {
+                cfg,
+                failover: RegionFailover::new(8, 6),
+            };
             let mut rec = RingRecorder::new(65536);
-            let report = fabric_round_failover_obs(
-                &mut c,
-                &metric,
-                &alerts,
-                &vals,
-                &cfg,
-                &mut failover,
-                &mut rec,
-            );
+            let report = step(&mut rt, &mut c, &metric, &alerts, &vals, &mut rec);
             assert!(report.audit.is_clean(), "{}", report.audit);
             assert_eq!(report.recoveries, 1, "the victim must come back");
             (rec.count_kind("shim_declared_dead"), c)
@@ -2808,7 +2773,7 @@ mod tests {
             .with_alert_check(a, 3)
             .with_alert_check(b, 5);
         let mut rec = RingRecorder::new(65536);
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
         let mut ticks_a: Vec<u64> = Vec::new();
         let mut ticks_b: Vec<u64> = Vec::new();
         for e in rec.to_vec() {
@@ -2846,7 +2811,7 @@ mod tests {
         let vals = alert_values(&c);
         let cfg = FabricConfig::default().with_alert_check(alerts[0].rack, 2);
         let mut rec = RingRecorder::new(65536);
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
         assert!(rec.count_kind("alert_check_fired") > 0);
         assert!(
             report.ticks < cfg.max_ticks,
@@ -2878,7 +2843,7 @@ mod tests {
             ..FabricConfig::default()
         };
         let mut rec = RingRecorder::new(65536);
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+        let report = round(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
         let failed: Vec<u64> = rec
             .to_vec()
             .into_iter()
@@ -2903,5 +2868,17 @@ mod tests {
         );
         assert_capacity_ok(&c);
         assert_deps_ok(&c);
+    }
+
+    #[test]
+    fn p95_is_the_nearest_rank_value() {
+        assert_eq!(p95_ticks(&[]), 0.0);
+        assert_eq!(p95_ticks(&[7]), 7.0);
+        // n = 20: rank ceil(19.0) = 19, the 19th sorted value
+        let twenty: Vec<u64> = (1..=20).rev().collect();
+        assert_eq!(p95_ticks(&twenty), 19.0);
+        // n = 21: rank ceil(19.95) = 20, the 20th sorted value
+        let twenty_one: Vec<u64> = (1..=21).rev().collect();
+        assert_eq!(p95_ticks(&twenty_one), 20.0);
     }
 }

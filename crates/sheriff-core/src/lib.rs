@@ -15,8 +15,8 @@
 //!
 //! together with FLOWREROUTE, the centralized-manager baseline, a
 //! deterministic sequential runtime ([`Sheriff`]) and a threaded runtime
-//! with optimistic planning and FCFS commit ([`distributed_round_obs`],
-//! or [`DistributedRuntime`] behind the [`Runtime`] trait).
+//! with optimistic planning and FCFS commit ([`DistributedRuntime`],
+//! behind the [`Runtime`] trait).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,9 +54,8 @@ pub use centralized::{
     destination_tors, destination_tors_obs, kmedian_migration, kmedian_migration_obs,
 };
 pub use channel::{CrashWindow, LinkFaultWindow, NetStats, PartitionWindow, SimNet};
-pub use distributed::{distributed_round_obs, DistributedReport};
 pub use evacuation::{drain_rack, evacuate_host, try_drain_rack, try_evacuate_host};
-pub use fabric::{fabric_round_failover_obs, fabric_round_obs, FabricConfig};
+pub use fabric::FabricConfig;
 pub use failure::{FailureDetector, RegionFailover, ShimHealth};
 pub use journal::{AbortOutcome, IntentJournal, RecoveryReport, TxnRecord, TxnState};
 pub use kmedian::{

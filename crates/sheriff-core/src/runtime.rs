@@ -1,13 +1,12 @@
 //! One trait over all three management loops.
 //!
-//! The repository grew three ways to run one management round — the
-//! centralized baseline of Sec. VI-B, the shared-lock threaded runtime,
-//! and the virtual-time fabric runtime — each with its own free function
-//! and argument list. The [`Runtime`] trait unifies them behind
-//! `step(&mut self, ctx)` so experiments, benches and the bakeoff
-//! examples can iterate over `Box<dyn Runtime>` values instead of
-//! matching on names, and every runtime reports through the same
-//! [`RoundOutcome`] and the same [`EventSink`].
+//! There are three ways to run one management round — the centralized
+//! baseline of Sec. VI-B, the threaded runtime, and the virtual-time
+//! fabric runtime. The [`Runtime`] trait is the only entry point to each:
+//! `step(&mut self, ctx)` lets experiments, benches and the bakeoff
+//! examples iterate over `Box<dyn Runtime>` values instead of matching on
+//! names, and every runtime reports through the same [`RoundOutcome`]
+//! and the same [`EventSink`].
 //!
 //! All three plan through the same kernel: victims come from
 //! `priority::select_victims` (Alg. 1/2) and destinations from
@@ -16,11 +15,11 @@
 
 use crate::audit::{audit_moves, audit_placement, AuditReport};
 use crate::centralized::centralized_migration_obs;
-use crate::distributed::{distributed_round_obs, DistributedReport};
-use crate::fabric::{fabric_round_failover_obs, FabricConfig};
+use crate::fabric::FabricConfig;
 use crate::failure::RegionFailover;
 use crate::priority::{alert_lookup, select_victims};
 use crate::vmmigration::{MigrationContext, MigrationPlan};
+use crate::{distributed, fabric};
 use dcn_sim::engine::Cluster;
 use dcn_sim::{Alert, RackMetric};
 use dcn_topology::{RackId, VmId};
@@ -49,7 +48,7 @@ pub struct RunCtx<'a> {
 
 /// What one [`Runtime::step`] did, across all three runtimes. Fields a
 /// runtime does not track (e.g. `ticks` outside the fabric) stay zero.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoundOutcome {
     /// Merged migration plan of the round.
     pub plan: MigrationPlan,
@@ -75,7 +74,8 @@ pub struct RoundOutcome {
     pub txn_prepared: usize,
     /// Transactions that finished COMMIT (fabric only).
     pub txn_committed: usize,
-    /// Transactions aborted — explicit or lease-expired (fabric only).
+    /// Transactions aborted — explicit, lease-expired, or swept at the
+    /// end of the round (fabric only).
     pub txn_aborted: usize,
     /// Shims that crashed mid-round and came back (fabric only).
     pub recoveries: usize,
@@ -96,18 +96,22 @@ pub struct RoundOutcome {
     pub transfers_completed: usize,
     /// Transfers steered off their shortest path by QCN congestion.
     pub transfer_reroutes: usize,
+    /// Admissions delayed because the concurrent-transfer cap was full.
+    pub transfer_queue_delays: usize,
+    /// Completion time in virtual ticks of every finished transfer, in
+    /// completion order.
+    pub transfer_durations: Vec<u64>,
     /// 95th-percentile transfer completion time in virtual ticks
-    /// (nearest-rank over this round's completed transfers; 0.0 when
-    /// none completed).
+    /// (nearest-rank over `transfer_durations`; 0.0 when none completed).
     pub transfer_p95_completion: f64,
-    /// True when some link carried two or more concurrent transfers —
-    /// the round paid a bottleneck serialization penalty.
-    pub bottleneck_serialized: bool,
+    /// Peak number of concurrent transfers sharing one link.
+    pub transfer_peak_sharing: usize,
     /// Streams stalled by a link failure mid-copy.
     pub transfer_stalls: usize,
     /// Backoff retries attempted by stalled streams.
     pub transfer_retries: usize,
-    /// Streams that exhausted their retry budget and aborted.
+    /// Streams that exhausted their retry budget (or lost an endpoint)
+    /// and aborted.
     pub transfer_failures: usize,
     /// Bytes checkpointed resumes avoided re-copying versus a restart
     /// from zero.
@@ -116,50 +120,11 @@ pub struct RoundOutcome {
     pub audit: AuditReport,
 }
 
-/// Nearest-rank p95 over a set of transfer durations, 0.0 when empty.
-fn p95_ticks(durations: &[u64]) -> f64 {
-    if durations.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = durations.to_vec();
-    sorted.sort_unstable();
-    let rank = ((sorted.len() as f64) * 0.95).ceil() as usize;
-    let idx = rank.saturating_sub(1).min(sorted.len() - 1);
-    sorted.get(idx).copied().unwrap_or(0) as f64
-}
-
-impl From<DistributedReport> for RoundOutcome {
-    fn from(r: DistributedReport) -> Self {
-        Self {
-            plan: r.plan,
-            shims: r.shims,
-            retries: r.retries,
-            drops: r.drops,
-            timeouts: r.timeouts,
-            resends: r.resends,
-            dedup_hits: r.dedup_hits,
-            degraded_shims: r.degraded_shims,
-            crashed_shims: r.crashed_shims,
-            ticks: r.ticks,
-            txn_prepared: r.txn_prepared,
-            txn_committed: r.txn_committed,
-            txn_aborted: r.txn_aborted,
-            recoveries: r.recoveries,
-            takeovers: r.takeovers,
-            fenced: r.fenced,
-            partition_degraded: r.partition_degraded,
-            reconciliations: r.reconciliations,
-            transfers_started: r.transfers_started,
-            transfers_completed: r.transfers_completed,
-            transfer_reroutes: r.transfer_reroutes,
-            transfer_p95_completion: p95_ticks(&r.transfer_durations),
-            bottleneck_serialized: r.transfer_peak_sharing >= 2,
-            transfer_stalls: r.transfer_stalls,
-            transfer_retries: r.transfer_retries,
-            transfer_failures: r.transfer_failures,
-            resumed_bytes_saved: r.resumed_bytes_saved,
-            audit: r.audit,
-        }
+impl RoundOutcome {
+    /// True when some link carried two or more concurrent transfers —
+    /// the round paid a bottleneck serialization penalty.
+    pub fn bottleneck_serialized(&self) -> bool {
+        self.transfer_peak_sharing >= 2
     }
 }
 
@@ -240,9 +205,9 @@ impl Runtime for CentralizedRuntime {
     }
 }
 
-/// The shared-lock threaded runtime behind the [`Runtime`] trait: one
-/// planner thread per alerted shim, commits FCFS through the destination
-/// racks' protocol endpoints.
+/// The threaded runtime behind the [`Runtime`] trait: one planner thread
+/// per alerted shim, commits FCFS through the destination racks' protocol
+/// endpoints (see [`crate::distributed`]).
 #[derive(Debug, Clone)]
 pub struct DistributedRuntime {
     /// Replan rounds per shim after the first.
@@ -261,15 +226,7 @@ impl Runtime for DistributedRuntime {
     }
 
     fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
-        distributed_round_obs(
-            ctx.cluster,
-            ctx.metric,
-            ctx.alerts,
-            ctx.alert_values,
-            self.max_retry,
-            &mut *ctx.sink,
-        )
-        .into()
+        distributed::run_round(ctx, self.max_retry)
     }
 }
 
@@ -311,16 +268,7 @@ impl Runtime for FabricRuntime {
     }
 
     fn step(&mut self, ctx: &mut RunCtx<'_>) -> RoundOutcome {
-        fabric_round_failover_obs(
-            ctx.cluster,
-            ctx.metric,
-            ctx.alerts,
-            ctx.alert_values,
-            &self.cfg,
-            &mut self.failover,
-            &mut *ctx.sink,
-        )
-        .into()
+        fabric::run_round(ctx, &self.cfg, &mut self.failover)
     }
 }
 
@@ -379,42 +327,6 @@ mod tests {
             }
             let after = c.utilization_stddev();
             assert!(after < before, "{}: std-dev {before} -> {after}", rt.name());
-        }
-    }
-
-    #[test]
-    fn distributed_runtime_matches_the_obs_function() {
-        let mut via_trait = cluster(92);
-        let mut via_fn = cluster(92);
-        let metric = RackMetric::build(&via_trait.dcn, &via_trait.sim);
-        let alerts = via_trait.fraction_alerts(0.10, 0);
-        let vals = alert_values(&via_trait);
-
-        let mut rt = DistributedRuntime { max_retry: 3 };
-        let mut ctx = RunCtx {
-            cluster: &mut via_trait,
-            metric: &metric,
-            alerts: &alerts,
-            alert_values: &vals,
-            sink: &mut NullSink,
-        };
-        let a = rt.step(&mut ctx);
-        let b = crate::distributed::distributed_round_obs(
-            &mut via_fn,
-            &metric,
-            &alerts,
-            &vals,
-            3,
-            &mut NullSink,
-        );
-
-        assert_eq!(a.plan.moves.len(), b.plan.moves.len());
-        assert!((a.plan.total_cost - b.plan.total_cost).abs() < 1e-9);
-        for vm in via_trait.placement.vm_ids() {
-            assert_eq!(
-                via_trait.placement.host_of(vm),
-                via_fn.placement.host_of(vm)
-            );
         }
     }
 

@@ -29,7 +29,7 @@ pub struct Move {
 }
 
 /// Outcome of a VMMIGRATION invocation.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MigrationPlan {
     /// Committed moves, in commit order.
     pub moves: Vec<Move>,
@@ -162,8 +162,7 @@ pub(crate) fn unassigned(pending: &[VmId], rows: &[Option<Proposal>]) -> Vec<VmI
         .collect()
 }
 
-/// Mutable state VMMIGRATION operates on (split out so the distributed
-/// runtime can hold it behind a lock).
+/// Mutable state VMMIGRATION operates on.
 pub struct MigrationContext<'a> {
     /// The authoritative placement.
     pub placement: &'a mut Placement,
@@ -302,56 +301,7 @@ pub fn vmmigration_scoped_obs<S: EventSink + ?Sized>(
     include_own_racks: bool,
     sink: &mut S,
 ) -> MigrationPlan {
-    vmmigration_in_flight_obs(
-        ctx,
-        candidates,
-        target_racks,
-        max_rounds,
-        include_own_racks,
-        &BTreeSet::new(),
-        sink,
-    )
-}
-
-/// [`vmmigration_scoped_obs`] with an in-flight guard: VMs whose
-/// pre-copy is currently streaming are excluded from re-planning in
-/// this window, on both sides of the matching.
-///
-/// Eqn. 1 prices each move independently; that only holds across
-/// *distinct* moves. A VM mid-transfer is already being moved, so
-/// re-selecting it as a source would double-count the same migration,
-/// and — because PREPARE reserves the VM at its destination, so
-/// `host_of` points there while the stream is in flight — the host
-/// absorbing its pre-copy must take no additional arrivals either.
-/// With `in_flight` empty this is exactly [`vmmigration_scoped_obs`].
-pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
-    ctx: &mut MigrationContext<'_>,
-    candidates: &[VmId],
-    target_racks: &[RackId],
-    max_rounds: usize,
-    include_own_racks: bool,
-    in_flight: &BTreeSet<VmId>,
-    sink: &mut S,
-) -> MigrationPlan {
-    // source guard: drop candidates already mid-transfer
-    let mut skipped = 0u64;
-    let mut pending: Vec<VmId> = Vec::with_capacity(candidates.len());
-    for &vm in candidates {
-        if in_flight.contains(&vm) {
-            skipped += 1;
-        } else {
-            pending.push(vm);
-        }
-    }
-    if skipped > 0 {
-        sink.counter("migrations.in_flight_skipped", skipped);
-    }
-    // destination guard: hosts currently absorbing a pre-copy
-    let hot_hosts: BTreeSet<HostId> = in_flight
-        .iter()
-        .filter(|vm| vm.index() < ctx.placement.vm_count())
-        .map(|&vm| ctx.placement.host_of(vm))
-        .collect();
+    let mut pending: Vec<VmId> = candidates.to_vec();
     let home_rack = pending
         .first()
         .map(|&vm| ctx.placement.rack_of(vm).index() as u64);
@@ -392,7 +342,7 @@ pub fn vmmigration_in_flight_obs<S: EventSink + ?Sized>(
             &pending,
             &slot_hosts,
             &excluded,
-            &hot_hosts,
+            &BTreeSet::new(),
         );
         plan.search_space += space;
 
@@ -644,97 +594,44 @@ mod tests {
     }
 
     #[test]
-    fn in_flight_vms_are_neither_source_nor_destination() {
-        let mut c = cluster();
+    fn banned_hosts_take_no_arrivals() {
+        // hosts absorbing an in-flight pre-copy are banned: the matching
+        // must route every proposal elsewhere, while still counting them
+        // in the explored search space
+        let c = cluster();
         let metric = RackMetric::build(&c.dcn, &c.sim);
-        let candidates: Vec<VmId> = c.placement.vm_ids().take(4).collect();
-        let rack = c.placement.rack_of(candidates[0]);
+        let pending: Vec<VmId> = c.placement.vm_ids().take(4).collect();
+        let rack = c.placement.rack_of(pending[0]);
         let region = c.dcn.neighbor_racks(rack, 4);
-        // the first candidate's pre-copy is mid-stream: its reserved
-        // destination is wherever the placement says it lives right now
-        let streaming = candidates[0];
-        let reserved_dest = c.placement.host_of(streaming);
-        let in_flight: BTreeSet<VmId> = [streaming].into_iter().collect();
-        let plan = {
-            let mut ctx = MigrationContext {
-                placement: &mut c.placement,
-                inventory: &c.dcn.inventory,
-                deps: &c.deps,
-                metric: &metric,
-                sim: &c.sim,
-            };
-            vmmigration_in_flight_obs(
-                &mut ctx,
-                &candidates,
-                &region,
-                5,
-                true,
-                &in_flight,
-                &mut NullSink,
+        let slots = region_slots(&c.dcn.inventory, &region, rack);
+        let none = BTreeSet::new();
+        let plan = |banned: &BTreeSet<HostId>| {
+            plan_proposals(
+                &c.placement,
+                &c.deps,
+                &metric,
+                &c.sim,
+                &pending,
+                &slots,
+                &BTreeSet::new(),
+                banned,
             )
         };
-        assert!(!plan.moves.is_empty(), "remaining candidates must move");
-        for m in &plan.moves {
-            assert_ne!(m.vm, streaming, "in-flight VM re-planned as source");
-            assert_ne!(
-                m.to, reserved_dest,
+        let (free, _) = plan(&none);
+        let banned: BTreeSet<HostId> = free.iter().flatten().map(|p| p.dest).collect();
+        assert!(!banned.is_empty(), "the unbanned matching proposed nothing");
+        let (rows, space) = plan(&banned);
+        assert_eq!(space, pending.len() * slots.len());
+        assert!(
+            rows.iter().flatten().next().is_some(),
+            "the remaining hosts must still take arrivals"
+        );
+        for p in rows.iter().flatten() {
+            assert!(
+                !banned.contains(&p.dest),
                 "arrival scheduled onto a host mid-pre-copy"
             );
         }
-        assert_eq!(
-            c.placement.host_of(streaming),
-            reserved_dest,
-            "in-flight VM must not be moved by the planner"
-        );
-        assert!(
-            !plan.unplaced.contains(&streaming),
-            "a guarded VM is managed elsewhere, not unplaced"
-        );
-    }
-
-    #[test]
-    fn empty_in_flight_set_matches_unguarded_plan() {
-        let mut a = cluster();
-        let mut b = cluster();
-        let metric_a = RackMetric::build(&a.dcn, &a.sim);
-        let metric_b = RackMetric::build(&b.dcn, &b.sim);
-        let candidates: Vec<VmId> = a.placement.vm_ids().take(3).collect();
-        let rack = a.placement.rack_of(candidates[0]);
-        let region = a.dcn.neighbor_racks(rack, 4);
-        let guarded = {
-            let mut ctx = MigrationContext {
-                placement: &mut a.placement,
-                inventory: &a.dcn.inventory,
-                deps: &a.deps,
-                metric: &metric_a,
-                sim: &a.sim,
-            };
-            vmmigration_in_flight_obs(
-                &mut ctx,
-                &candidates,
-                &region,
-                5,
-                true,
-                &BTreeSet::new(),
-                &mut NullSink,
-            )
-        };
-        let plain = {
-            let mut ctx = MigrationContext {
-                placement: &mut b.placement,
-                inventory: &b.dcn.inventory,
-                deps: &b.deps,
-                metric: &metric_b,
-                sim: &b.sim,
-            };
-            vmmigration_scoped(&mut ctx, &candidates, &region, 5, true)
-        };
-        assert_eq!(guarded.moves.len(), plain.moves.len());
-        for (g, p) in guarded.moves.iter().zip(plain.moves.iter()) {
-            assert_eq!((g.vm, g.from, g.to), (p.vm, p.from, p.to));
-            assert!((g.cost - p.cost).abs() < 1e-12);
-        }
-        assert_eq!(guarded.search_space, plain.search_space);
     }
 
     #[test]

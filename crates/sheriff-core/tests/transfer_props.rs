@@ -10,11 +10,13 @@
 //!    mid-transfer shim crashes.
 
 use dcn_sim::engine::{Cluster, ClusterConfig};
-use dcn_sim::{ChannelFaults, RackMetric, SimConfig};
+use dcn_sim::{Alert, ChannelFaults, RackMetric, SimConfig};
 use dcn_topology::fattree::{self, FatTreeConfig};
 use proptest::prelude::*;
-use sheriff_core::{fabric_round_obs, CrashWindow, FabricConfig, LinkFaultWindow};
-use sheriff_obs::RingRecorder;
+use sheriff_core::{
+    CrashWindow, FabricConfig, FabricRuntime, LinkFaultWindow, RoundOutcome, RunCtx, Runtime,
+};
+use sheriff_obs::{EventSink, RingRecorder};
 
 fn small_cluster(seed: u64) -> Cluster {
     let dcn = fattree::build(&FatTreeConfig::paper(4));
@@ -28,6 +30,24 @@ fn small_cluster(seed: u64) -> Cluster {
         },
         SimConfig::paper(),
     )
+}
+
+/// One round of a fresh fabric runtime for `cfg` through [`Runtime::step`].
+fn fabric_round(
+    c: &mut Cluster,
+    metric: &RackMetric,
+    alerts: &[Alert],
+    vals: &[f64],
+    cfg: &FabricConfig,
+    sink: &mut dyn EventSink,
+) -> RoundOutcome {
+    FabricRuntime::with_config(cfg.clone()).step(&mut RunCtx {
+        cluster: c,
+        metric,
+        alerts,
+        alert_values: vals,
+        sink,
+    })
 }
 
 /// FNV-1a over the serialized event stream and the report's debug
@@ -48,7 +68,7 @@ fn round_digest(cluster_seed: u64, cfg: &FabricConfig) -> u64 {
 }
 
 fn digest_of(
-    report: &sheriff_core::DistributedReport,
+    report: &RoundOutcome,
     rec: &RingRecorder,
     c: &Cluster,
     transfer_enabled: bool,
@@ -59,7 +79,7 @@ fn digest_of(
         buf.push('\n');
     }
     // the PR 7-era report fields, spelled out so adding *new* fields to
-    // DistributedReport (a schema change, not a behavior change) does
+    // RoundOutcome (a schema change, not a behavior change) does
     // not move the digest
     for m in &report.plan.moves {
         buf.push_str(&format!(
@@ -201,10 +221,7 @@ fn enabled_without_faults_reproduces_pr8_digests() {
 }
 
 /// Run one transfer-enabled round and return `(report, recorder, cluster)`.
-fn faulted_round(
-    cluster_seed: u64,
-    cfg: &FabricConfig,
-) -> (sheriff_core::DistributedReport, RingRecorder, Cluster) {
+fn faulted_round(cluster_seed: u64, cfg: &FabricConfig) -> (RoundOutcome, RingRecorder, Cluster) {
     let mut c = small_cluster(cluster_seed);
     let metric = RackMetric::build(&c.dcn, &c.sim);
     let alerts = c.fraction_alerts(0.15, 0);
@@ -214,7 +231,7 @@ fn faulted_round(
         .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
         .collect();
     let mut rec = RingRecorder::new(1 << 16);
-    let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, cfg, &mut rec);
+    let report = fabric_round(&mut c, &metric, &alerts, &vals, cfg, &mut rec);
     (report, rec, c)
 }
 
@@ -475,7 +492,7 @@ fn enabled_transfers_stream_commit_and_audit_clean() {
         .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
         .collect();
     let mut rec = RingRecorder::new(1 << 16);
-    let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
+    let report = fabric_round(&mut c, &metric, &alerts, &vals, &cfg, &mut rec);
 
     assert!(report.transfers_started > 0, "no transfer ever started");
     assert_eq!(
@@ -527,7 +544,7 @@ fn enabled_round_takes_longer_than_instantaneous_settlement() {
             .vm_ids()
             .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
             .collect();
-        fabric_round_obs(
+        fabric_round(
             &mut c,
             &metric,
             &alerts,
@@ -635,7 +652,7 @@ proptest! {
             .vm_ids()
             .map(|vm| c.placement.utilization(c.placement.host_of(vm)))
             .collect();
-        let report = fabric_round_obs(&mut c, &metric, &alerts, &vals, &cfg, &mut sheriff_obs::NullSink);
+        let report = fabric_round(&mut c, &metric, &alerts, &vals, &cfg, &mut sheriff_obs::NullSink);
         prop_assert!(report.ticks <= cfg.max_ticks);
         prop_assert!(report.audit.is_clean(), "{}", report.audit);
         let mut loc: std::collections::HashMap<_, _> = c

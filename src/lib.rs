@@ -65,10 +65,10 @@ pub mod prelude {
     // --- management: the three loops behind one Runtime trait --------
     pub use sheriff_core::{
         audit_placement, drain_rack, evacuate_host, priority, vmmigration, AuditReport, Budget,
-        CentralizedRuntime, CrashWindow, DistributedReport, DistributedRuntime, FabricConfig,
-        FabricRuntime, FailureDetector, IntentJournal, MigrationContext, MigrationPlan,
-        PartitionWindow, RegionFailover, RoundOutcome, RoundReport, RunCtx, Runtime, Sheriff,
-        ShimHealth, StepReport, System, SystemBuilder,
+        CentralizedRuntime, CrashWindow, DistributedRuntime, FabricConfig, FabricRuntime,
+        FailureDetector, IntentJournal, MigrationContext, MigrationPlan, PartitionWindow,
+        RegionFailover, RoundOutcome, RoundReport, RunCtx, Runtime, Sheriff, ShimHealth,
+        StepReport, System, SystemBuilder,
     };
 
     // --- event core: the virtual-time scheduler under the fabric ------
